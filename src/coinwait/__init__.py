@@ -41,6 +41,7 @@ from .pattern import (
     expected_profit,
     expected_waiting_time,
     parse_pattern,
+    patterns_of_length,
     waiting_time_bounds,
     waiting_time_report,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "mean_via_sigma_series",
     "occurrence_counts",
     "parse_pattern",
+    "patterns_of_length",
     "simulate",
     "exhaustive_tally",
     "verify_identities",

@@ -20,13 +20,17 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
+from dataclasses import asdict
 from pathlib import Path
 
 from .counting import occurrence_counts, verify_identities
 from .dyadic import DyadicRational
 from .errors import CoinwaitError, SimulationRunawayError
 from .oracle import exhaustive_tally, simulate
-from .pattern import Pattern, expected_waiting_time, parse_pattern, waiting_time_report
+from .pattern import (
+    expected_waiting_time, parse_pattern, patterns_of_length, waiting_time_report
+)
 from .table import waiting_time_table
 
 EXIT_OK = 0
@@ -34,12 +38,9 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION_FAILED = 2
 EXIT_INTERNAL_GUARD = 3
 
-# JSON numbers above 53 bits would be corrupted by double-precision readers.
+# JSON numbers above 53 bits would be corrupted by double-precision readers,
+# so every larger integer is emitted as a decimal string.
 _JSON_SAFE_INT = (1 << 53) - 1
-
-
-def _json_int(value: int):
-    return value if abs(value) <= _JSON_SAFE_INT else str(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,136 +156,119 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- small rendering helpers ------------------------------------------
+# -- the one record and its renderer ------------------------------------
 
 
-def _aligned(rows: list[list[str]], right: set[int]) -> str:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [
+# A command's answer: JSON inputs and results, CSV header (keys of each row dict)
+# and rows, a callable that builds the text lines on demand, and the exit status.
+_Record = namedtuple("_Record", "inputs results header rows text status")
+
+
+def _json_safe(value):
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value if abs(value) <= _JSON_SAFE_INT else str(value)
+    return value
+
+
+def _csv_cell(value):
+    # csv itself writes None as an empty cell and a float as its repr.
+    return ";".join(str(item) for item in value) if isinstance(value, list) else value
+
+
+def _aligned(rows, right=()) -> list[str]:
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    return [
+        "  ".join(
             cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
             for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+        ).rstrip()
+        for row in cells
+    ]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(command: str, inputs: dict, results) -> str:
-    payload = {"command": command, "inputs": inputs, "results": results}
-    return json.dumps(payload, indent=2) + "\n"
+def _render(command: str, fmt: str, record: _Record) -> str:
+    if fmt == "json":
+        payload = dict(command=command, inputs=record.inputs, results=record.results)
+        return json.dumps(_json_safe(payload), indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(record.header)
+        for row in record.rows:
+            writer.writerow([_csv_cell(row[key]) for key in record.header])
+        return buf.getvalue()
+    return "\n".join(record.text()) + "\n"
 
 
 # -- command handlers --------------------------------------------------
 
 
-def _cmd_expect(args) -> tuple[str, int]:
-    if args.stake is not None and args.stake < 0:
-        raise CoinwaitError("stake must be nonnegative")
+def _cmd_expect(args) -> _Record:
+    # A negative stake is rejected by expected_profit with a ValueError.
     report = waiting_time_report(parse_pattern(args.pattern), args.stake)
-    overlaps = report.correlation.overlap_lengths()
-    if args.format == "json":
-        results = {
-            "pattern": str(report.pattern),
-            "heads_tails": report.pattern.heads_tails(),
-            "length": len(report.pattern),
-            "overlaps": list(overlaps),
-            "expected_tosses": _json_int(report.expected_tosses),
-            "lower_bound": _json_int(report.lower_bound),
-            "upper_bound": _json_int(report.upper_bound),
-            "stake": report.stake,
-            "expected_profit": None
-            if report.expected_profit is None
-            else _json_int(report.expected_profit),
-        }
-        inputs = {"pattern": args.pattern, "stake": args.stake}
-        return _json_text("expect", inputs, results), EXIT_OK
-    if args.format == "csv":
-        header = [
-            "pattern",
-            "length",
-            "overlaps",
-            "expected_tosses",
-            "lower_bound",
-            "upper_bound",
-            "stake",
-            "expected_profit",
+    p = report.pattern
+    results = {
+        "pattern": str(p),
+        "heads_tails": p.heads_tails(),
+        "length": len(p),
+        "overlaps": list(report.correlation.overlap_lengths()),
+        "expected_tosses": report.expected_tosses,
+        "lower_bound": report.lower_bound,
+        "upper_bound": report.upper_bound,
+        "stake": report.stake,
+        "expected_profit": report.expected_profit,
+    }
+
+    def text():
+        lines = [
+            ["pattern", f"{p} ({p.heads_tails()})"],
+            ["length", len(p)],
+            ["overlaps (c_j=1)", " ".join(str(j) for j in results["overlaps"])],
+            ["expected tosses", report.expected_tosses],
+            ["bounds", f"{report.lower_bound}..{report.upper_bound}"],
         ]
-        row = [
-            str(report.pattern),
-            len(report.pattern),
-            ";".join(str(j) for j in overlaps),
-            report.expected_tosses,
-            report.lower_bound,
-            report.upper_bound,
-            "" if report.stake is None else report.stake,
-            "" if report.expected_profit is None else report.expected_profit,
-        ]
-        return _csv_text(header, [row]), EXIT_OK
-    lines = [
-        f"pattern           {report.pattern} ({report.pattern.heads_tails()})",
-        f"length            {len(report.pattern)}",
-        f"overlaps (c_j=1)  {' '.join(str(j) for j in overlaps)}",
-        f"expected tosses   {report.expected_tosses}",
-        f"bounds            {report.lower_bound}..{report.upper_bound}",
-    ]
-    if report.stake is not None:
-        lines.append(f"stake             {report.stake}")
-        lines.append(f"expected profit   {report.expected_profit:+d}")
-    return "\n".join(lines) + "\n", EXIT_OK
+        if report.stake is not None:
+            lines.append(["stake", report.stake])
+            lines.append(["expected profit", f"{report.expected_profit:+d}"])
+        return _aligned(lines)
+
+    header = [key for key in results if key != "heads_tails"]
+    inputs = {"pattern": args.pattern, "stake": args.stake}
+    return _Record(inputs, results, header, [results], text, EXIT_OK)
 
 
-def _cmd_table(args) -> tuple[str, int]:
+def _cmd_table(args) -> _Record:
     lo, hi = args.lengths
     if not (2 <= lo <= hi <= args.cap):
         raise CoinwaitError(
             f"lengths must satisfy 2 <= min <= max <= {args.cap}, got {lo}..{hi}"
         )
-    rows = waiting_time_table(
-        range(lo, hi + 1), include_complements=args.all_patterns
-    )
-    if args.format == "json":
-        results = [
-            {
-                "length": row.length,
-                "average": _json_int(row.average),
-                "patterns": list(row.patterns),
-            }
-            for row in rows
-        ]
-        inputs = {
-            "lengths": f"{lo}..{hi}",
-            "all_patterns": bool(args.all_patterns),
-        }
-        return _json_text("table", inputs, results), EXIT_OK
-    if args.format == "csv":
-        flat = [
-            [row.length, row.average, pattern]
-            for row in rows
-            for pattern in row.patterns
-        ]
-        return _csv_text(["length", "average", "pattern"], flat), EXIT_OK
-    cells = [["length", "average", "patterns"]]
-    for row in rows:
-        cells.append([str(row.length), str(row.average), " ".join(row.patterns)])
-    text = _aligned(cells, right={0, 1})
-    if not args.all_patterns:
-        text += (
-            "\nonly patterns starting with 1 are listed; each 0-leading"
-            " complement (heads and tails swapped) has the same average\n"
-        )
-    return text, EXIT_OK
+    rows = waiting_time_table(range(lo, hi + 1), include_complements=args.all_patterns)
+    results = [asdict(row) for row in rows]
+    flat = [{**row, "pattern": p} for row in results for p in row["patterns"]]
+
+    def text():
+        cells = [[row.length, row.average, " ".join(row.patterns)] for row in rows]
+        lines = _aligned([["length", "average", "patterns"], *cells], right={0, 1})
+        if not args.all_patterns:
+            lines += [
+                "",
+                "only patterns starting with 1 are listed; each 0-leading"
+                " complement (heads and tails swapped) has the same average",
+            ]
+        return lines
+
+    inputs = {"lengths": f"{lo}..{hi}", "all_patterns": bool(args.all_patterns)}
+    header = ["length", "average", "pattern"]
+    return _Record(inputs, results, header, flat, text, EXIT_OK)
 
 
-def _cmd_dist(args) -> tuple[str, int]:
+def _cmd_dist(args) -> _Record:
     p = parse_pattern(args.pattern)
     m = len(p)
     if args.horizon < m:
@@ -292,113 +276,64 @@ def _cmd_dist(args) -> tuple[str, int]:
             f"horizon must be >= pattern length {m}, got {args.horizon}"
         )
     counts = occurrence_counts(p, args.horizon)
+    header = ["n", "tau", "probability", "decimal", "cumulative", "residual"]
     rows = []
-    cumulative_tau = 0  # running sum of tau_k * 2**(N-k), denominator 2**N
     for n in range(m, args.horizon + 1):
-        cumulative_tau += counts.tau[n] << (args.horizon - n)
         prob = DyadicRational(counts.tau[n], n)
-        cml = DyadicRational(cumulative_tau, args.horizon)
         residual = DyadicRational(counts.sigma[n], n)
-        rows.append((n, counts.tau[n], prob, cml, residual))
-    final_residual = rows[-1][4]
-    if args.format == "json":
-        results = {
-            "rows": [
-                {
-                    "n": n,
-                    "tau": _json_int(tau),
-                    "probability": prob.fraction_str(),
-                    "decimal": prob.decimal_str(),
-                    "cumulative": cml.decimal_str(),
-                    "residual": res.decimal_str(),
-                }
-                for n, tau, prob, cml, res in rows
-            ],
-            "residual": final_residual.fraction_str(),
-        }
-        inputs = {"pattern": args.pattern, "horizon": args.horizon}
-        return _json_text("dist", inputs, results), EXIT_OK
-    if args.format == "csv":
-        flat = [
-            [n, tau, prob.fraction_str(), prob.decimal_str(), cml.decimal_str(),
-             res.decimal_str()]
-            for n, tau, prob, cml, res in rows
+        # cumulative P(T <= n) = 1 - sigma_n / 2**n, the telescoping identity
+        cells = [n, counts.tau[n], prob.fraction_str(), prob.decimal_str(),
+                 (1 - residual).decimal_str(), residual.decimal_str()]
+        rows.append(dict(zip(header, cells)))
+
+    def text():
+        return [
+            f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}",
+            *_aligned([header, *(row.values() for row in rows)], right={0, 1}),
+            "",
+            f"mass not yet seen by the horizon: {residual.fraction_str()}"
+            f" = {residual.decimal_str()}",
         ]
-        header = ["n", "tau", "probability", "decimal", "cumulative", "residual"]
-        return _csv_text(header, flat), EXIT_OK
-    cells = [["n", "tau", "probability", "decimal", "cumulative", "residual"]]
-    for n, tau, prob, cml, res in rows:
-        cells.append(
-            [str(n), str(tau), prob.fraction_str(), prob.decimal_str(),
-             cml.decimal_str(), res.decimal_str()]
-        )
-    text = f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}\n"
-    text += _aligned(cells, right={0, 1})
-    text += (
-        f"\nmass not yet seen by the horizon: {final_residual.fraction_str()}"
-        f" = {final_residual.decimal_str()}\n"
-    )
-    return text, EXIT_OK
+
+    inputs = {"pattern": args.pattern, "horizon": args.horizon}
+    results = {"rows": rows, "residual": residual.fraction_str()}
+    return _Record(inputs, results, header, rows, text, EXIT_OK)
 
 
-def _cmd_simulate(args) -> tuple[str, int]:
+def _cmd_simulate(args) -> _Record:
     p = parse_pattern(args.pattern)
     if args.trials < 1:
         raise CoinwaitError(f"trials must be >= 1, got {args.trials}")
     result = simulate(p, args.trials, args.seed)
     exact = expected_waiting_time(p)
-    z = None
-    if result.sample_stderr > 0:
-        z = (result.sample_mean - exact) / result.sample_stderr
-    if args.format == "json":
-        results = {
-            "pattern": str(p),
-            "trials": result.trials,
-            "seed": result.seed,
-            "generator": result.generator,
-            "sample_mean": result.sample_mean,
-            "sample_stderr": result.sample_stderr,
-            "exact": _json_int(exact),
-            "z_score": z,
-            "max_game_length_seen": result.max_game_length_seen,
-        }
-        inputs = {"pattern": args.pattern, "trials": args.trials, "seed": args.seed}
-        return _json_text("simulate", inputs, results), EXIT_OK
-    if args.format == "csv":
-        header = [
-            "pattern",
-            "trials",
-            "seed",
-            "generator",
-            "sample_mean",
-            "sample_stderr",
-            "exact",
-            "z_score",
-            "max_game_length_seen",
-        ]
-        row = [
-            str(p),
-            result.trials,
-            result.seed,
-            result.generator,
-            repr(result.sample_mean),
-            repr(result.sample_stderr),
-            exact,
-            "" if z is None else repr(z),
-            result.max_game_length_seen,
-        ]
-        return _csv_text(header, [row]), EXIT_OK
-    lines = [
-        f"pattern            {p} ({p.heads_tails()})",
-        f"trials             {result.trials}",
-        f"seed               {result.seed} ({result.generator})",
-        f"sample mean        {result.sample_mean:.6f}",
-        f"std error          {result.sample_stderr:.6f}",
-        f"exact expectation  {exact}",
-        f"z-score            {'n/a' if z is None else format(z, '+.3f')}",
-        f"longest game seen  {result.max_game_length_seen}",
-    ]
-    return "\n".join(lines) + "\n", EXIT_OK
+    spread = result.sample_stderr
+    z = (result.sample_mean - exact) / spread if spread > 0 else None
+    results = {
+        "pattern": str(p),
+        "trials": result.trials,
+        "seed": result.seed,
+        "generator": result.generator,
+        "sample_mean": result.sample_mean,
+        "sample_stderr": result.sample_stderr,
+        "exact": exact,
+        "z_score": z,
+        "max_game_length_seen": result.max_game_length_seen,
+    }
+
+    def text():
+        return _aligned([
+            ["pattern", f"{p} ({p.heads_tails()})"],
+            ["trials", result.trials],
+            ["seed", f"{result.seed} ({result.generator})"],
+            ["sample mean", f"{result.sample_mean:.6f}"],
+            ["std error", f"{result.sample_stderr:.6f}"],
+            ["exact expectation", exact],
+            ["z-score", "n/a" if z is None else format(z, "+.3f")],
+            ["longest game seen", result.max_game_length_seen],
+        ])
+
+    inputs = {"pattern": args.pattern, "trials": args.trials, "seed": args.seed}
+    return _Record(inputs, results, list(results), [results], text, EXIT_OK)
 
 
 def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
@@ -431,7 +366,7 @@ def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
     }
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> _Record:
     lo, hi = args.lengths
     if not (1 <= lo <= hi <= args.cap):
         raise CoinwaitError(
@@ -442,48 +377,26 @@ def _cmd_verify(args) -> tuple[str, int]:
             f"horizon must be >= twice the largest length ({2 * hi}),"
             f" got {args.horizon}"
         )
-    results = []
-    for length in range(lo, hi + 1):
-        for value in range(1 << (length - 1), 1 << length):
-            bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
-            results.append(_verify_one(Pattern(bits), args.horizon, args.oracle_n))
-    all_ok = all(r["oracle_ok"] and not r["failures"] for r in results)
-    status = EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
-    if args.format == "json":
-        inputs = {
-            "lengths": f"{lo}..{hi}",
-            "horizon": args.horizon,
-            "oracle_n": args.oracle_n,
-        }
-        return _json_text(
-            "verify", inputs, {"patterns": results, "all_ok": all_ok}
-        ), status
-    if args.format == "csv":
-        header = [
-            "pattern",
-            "length",
-            "doubling_ok",
-            "expansion_ok",
-            "telescoping_ok",
-            "oracle_ok",
-        ]
-        flat = [
-            [r["pattern"], r["length"], r["doubling_ok"], r["expansion_ok"],
-             r["telescoping_ok"], r["oracle_ok"]]
-            for r in results
-        ]
-        return _csv_text(header, flat), status
-    lines = [
-        f"checked {len(results)} canonical patterns (lengths {lo}..{hi}),"
-        f" horizon {args.horizon}, enumeration up to n={args.oracle_n}"
+    results = [
+        _verify_one(p, args.horizon, args.oracle_n)
+        for length in range(lo, hi + 1)
+        for p in patterns_of_length(length)
     ]
-    for r in results:
-        if r["failures"]:
-            lines.append(f"FAIL {r['pattern']}: " + ", ".join(r["failures"]))
-    lines.append(
-        "all identities hold" if all_ok else "verification FAILED (see above)"
-    )
-    return "\n".join(lines) + "\n", status
+    failed = [r for r in results if r["failures"]]
+
+    def text():
+        return [
+            f"checked {len(results)} canonical patterns (lengths {lo}..{hi}),"
+            f" horizon {args.horizon}, enumeration up to n={args.oracle_n}",
+            *(f"FAIL {r['pattern']}: " + ", ".join(r["failures"]) for r in failed),
+            "verification FAILED (see above)" if failed else "all identities hold",
+        ]
+
+    header = [key for key in results[0] if key != "failures"]
+    inputs = dict(lengths=f"{lo}..{hi}", horizon=args.horizon, oracle_n=args.oracle_n)
+    status = EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+    summary = {"patterns": results, "all_ok": not failed}
+    return _Record(inputs, summary, header, results, text, status)
 
 
 _COMMANDS = {
@@ -495,25 +408,22 @@ _COMMANDS = {
 }
 
 
-def _write_output(text: str, path: Path | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, status = _COMMANDS[args.command](args)
+        record = _COMMANDS[args.command](args)
+        text = _render(args.command, args.format, record)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            args.output.write_text(text, encoding="utf-8")
     except SimulationRunawayError as exc:
         print(f"internal guard tripped: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_GUARD
-    except (CoinwaitError, ValueError) as exc:
+    except (CoinwaitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(text, args.output)
-    return status
+    return record.status
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ positive powers of two: an even integer between 2**m and 2**(m+1) - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import EmptyPatternError, InvalidLengthError, InvalidSymbolError
 
@@ -23,6 +24,7 @@ __all__ = [
     "CorrelationSet",
     "WaitingTimeReport",
     "parse_pattern",
+    "patterns_of_length",
     "complement",
     "correlation_set",
     "expected_waiting_time",
@@ -93,6 +95,21 @@ def parse_pattern(text: str) -> Pattern:
             raise InvalidSymbolError(ch, i)
         bits.append(alphabet[ch])
     return Pattern(tuple(bits))
+
+
+def patterns_of_length(length: int, canonical: bool = True) -> Iterator[Pattern]:
+    """Yield the patterns of one length in ascending binary order.
+
+    With canonical set, only the half starting with 1 is yielded; each
+    0-leading pattern is the complement of one of them and shares its
+    waiting-time behaviour.  Otherwise all 2**length patterns are yielded.
+    Raises InvalidLengthError for a length below 1.
+    """
+    if length < 1:
+        raise InvalidLengthError(f"pattern length must be >= 1, got {length}")
+    start = 1 << (length - 1) if canonical else 0
+    for value in range(start, 1 << length):
+        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 def complement(p: Pattern) -> Pattern:

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidLengthError
-from .pattern import Pattern, expected_waiting_time
+from .pattern import expected_waiting_time, patterns_of_length
 
 __all__ = ["TableRow", "waiting_time_table"]
 
@@ -23,10 +22,6 @@ class TableRow:
     length: int
     average: int
     patterns: tuple[str, ...]
-
-
-def _int_to_pattern(value: int, length: int) -> Pattern:
-    return Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 def waiting_time_table(
@@ -41,12 +36,8 @@ def waiting_time_table(
     """
     rows: list[TableRow] = []
     for length in lengths:
-        if length < 1:
-            raise InvalidLengthError(f"pattern length must be >= 1, got {length}")
         groups: dict[int, list[str]] = {}
-        start = 0 if include_complements else 1 << (length - 1)
-        for value in range(start, 1 << length):
-            p = _int_to_pattern(value, length)
+        for p in patterns_of_length(length, canonical=not include_complements):
             groups.setdefault(expected_waiting_time(p), []).append(str(p))
         for average in sorted(groups):
             # Enumeration order is already ascending as binary numbers.

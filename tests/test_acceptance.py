@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from coinwait import (
-    Pattern,
     correlation_set,
     exhaustive_tally,
     expected_profit,
@@ -18,6 +17,7 @@ from coinwait import (
     mean_via_sigma_series,
     occurrence_counts,
     parse_pattern,
+    patterns_of_length,
     simulate,
     verify_identities,
     waiting_time_bounds,
@@ -26,11 +26,6 @@ from coinwait.cli import main as cli_main
 from coinwait.counting import fibonacci
 
 from test_table import REFERENCE_TABLE
-
-
-def all_patterns(length: int):
-    for value in range(1 << length):
-        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 def report(criterion: int, text: str):
@@ -93,7 +88,7 @@ def test_criterion_05_parity_and_bounds_exhaustive():
     checked = 0
     for length in range(1, 11):
         lo, hi = waiting_time_bounds(length)
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             n = expected_waiting_time(p)
             assert n % 2 == 0, str(p)
             assert lo <= n <= hi, str(p)
@@ -108,7 +103,7 @@ def test_criterion_06_oracle_equivalence():
     start = time.perf_counter()
     compared = 0
     for length in range(1, 6):
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             counts = occurrence_counts(p, 16)
             for n in range(length, 17):
                 tally = exhaustive_tally(p, n)
@@ -127,7 +122,7 @@ def test_criterion_07_recurrence_identities():
     start = time.perf_counter()
     checked = 0
     for length in range(1, 7):
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             assert verify_identities(p, 64).all_hold, str(p)
             checked += 1
     elapsed = time.perf_counter() - start
@@ -159,7 +154,7 @@ def test_criterion_09_series_convergence():
     bound = Fraction(1, 10**6)
     worst_short = Fraction(0)
     for length in range(1, 4):
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             residual = expected_waiting_time(p) - mean_via_sigma_series(
                 p, 200
             ).as_fraction()
@@ -173,7 +168,7 @@ def test_criterion_09_series_convergence():
 
     worst = Fraction(0)
     for length in range(1, 7):
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             residual = expected_waiting_time(p) - mean_via_sigma_series(
                 p, 2400
             ).as_fraction()

@@ -64,6 +64,27 @@ def test_expect_json_big_numbers_become_strings(capsys):
     assert int(results["expected_tosses"]) == (1 << 61) - 2
 
 
+def test_json_integers_above_53_bits_become_strings(capsys):
+    stake = 10**20
+    code, out, _ = run(
+        ["expect", "11", "--stake", str(stake), "--format", "json"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["stake"] == str(stake)
+    assert doc["results"]["stake"] == str(stake)
+    assert doc["results"]["expected_profit"] == str(6 - stake)
+    assert doc["results"]["expected_tosses"] == 6
+    seed = 2**60
+    argv = ["simulate", "11", "--trials", "10", "--seed", str(seed), "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["seed"] == str(seed)
+    assert doc["results"]["seed"] == str(seed)
+    assert doc["results"]["trials"] == 10
+
+
 def test_expect_csv(capsys):
     code, out, _ = run(["expect", "110", "--format", "csv"], capsys)
     assert code == 0
@@ -274,6 +295,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("length,average,pattern\n")
+
+
+def test_output_write_failure_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(["expect", "11", "--output", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "No such file or directory" in err
 
 
 def test_usage_errors_exit_one(capsys):

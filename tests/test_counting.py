@@ -18,15 +18,11 @@ from coinwait import (
     mean_via_sigma_series,
     occurrence_counts,
     parse_pattern,
+    patterns_of_length,
     verify_identities,
 )
 
 from _oracles import brute_sigma_tau, conditioned_sigma_tau, longest_prefix_suffix_state
-
-
-def all_patterns(length: int):
-    for value in range(1 << length):
-        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
@@ -66,7 +62,7 @@ def test_automaton_table_threefold_overlap():
 
 @pytest.mark.parametrize("length", range(1, 9))
 def test_automaton_matches_longest_prefix_definition(length):
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         auto = build_automaton(p)
         text = str(p)
         for k in range(length):
@@ -82,7 +78,7 @@ def test_automaton_matches_longest_prefix_definition(length):
 @pytest.mark.parametrize("length", range(1, 5))
 def test_counts_match_enumeration(length):
     horizon = 10
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         sigma, tau = brute_sigma_tau(str(p), horizon)
         counts = occurrence_counts(p, horizon)
         assert list(counts.sigma) == sigma
@@ -224,10 +220,9 @@ def test_series_mean_gap_is_the_avoidance_tail():
 
 @pytest.mark.parametrize("length", range(1, 7))
 def test_identities_hold_for_canonical_patterns(length):
-    for value in range(1 << (length - 1), 1 << length):
-        bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
-        report = verify_identities(Pattern(bits), 2 * length + 8)
-        assert report.all_hold, str(Pattern(bits))
+    for p in patterns_of_length(length):
+        report = verify_identities(p, 2 * length + 8)
+        assert report.all_hold, str(p)
 
 
 def test_verify_identities_needs_room():

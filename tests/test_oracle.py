@@ -13,15 +13,11 @@ from coinwait import (
     expected_waiting_time,
     occurrence_counts,
     parse_pattern,
+    patterns_of_length,
     simulate,
 )
 
 from _oracles import brute_sigma_tau
-
-
-def all_patterns(length: int):
-    for value in range(1 << length):
-        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -39,7 +35,7 @@ def test_tally_by_hand():
 @pytest.mark.parametrize("length", range(1, 4))
 def test_tally_matches_string_enumeration(length):
     n = 10
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         sigma, tau = brute_sigma_tau(str(p), n)
         tally = exhaustive_tally(p, n)
         assert tally.avoiding_count == sigma[n]
@@ -63,7 +59,7 @@ def test_tally_is_a_partition(bits, extra):
 def test_tally_agrees_with_engine_deep(n):
     # all 62 patterns up to length 5, at depths past the acceptance sweep
     for length in range(1, 6):
-        for p in all_patterns(length):
+        for p in patterns_of_length(length, canonical=False):
             counts = occurrence_counts(p, n)
             tally = exhaustive_tally(p, n)
             assert tally.avoiding_count == counts.sigma[n]

@@ -15,16 +15,12 @@ from coinwait import (
     expected_profit,
     expected_waiting_time,
     parse_pattern,
+    patterns_of_length,
     waiting_time_bounds,
     waiting_time_report,
 )
 
 from _oracles import operational_correlation
-
-
-def all_patterns(length: int):
-    for value in range(1 << length):
-        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
 
 bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=12).map(tuple)
@@ -96,6 +92,20 @@ def test_pattern_sequence_behaviour():
 # -- complement --------------------------------------------------------
 
 
+def test_patterns_of_length_order_and_count():
+    assert [str(p) for p in patterns_of_length(2, canonical=False)] == [
+        "00", "01", "10", "11",
+    ]
+    assert [str(p) for p in patterns_of_length(3)] == ["100", "101", "110", "111"]
+    for length in range(1, 5):
+        every = [str(p) for p in patterns_of_length(length, canonical=False)]
+        assert every == [format(v, f"0{length}b") for v in range(1 << length)]
+        canonical = [str(p) for p in patterns_of_length(length)]
+        assert canonical == every[1 << (length - 1):]
+    with pytest.raises(InvalidLengthError):
+        next(patterns_of_length(0))
+
+
 def test_complement_swaps_and_is_involutive():
     p = parse_pattern("1101")
     assert str(complement(p)) == "0010"
@@ -104,7 +114,7 @@ def test_complement_swaps_and_is_involutive():
 
 @pytest.mark.parametrize("length", range(1, 9))
 def test_complement_preserves_waiting_time_and_overlaps(length):
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         q = complement(p)
         assert expected_waiting_time(p) == expected_waiting_time(q)
         assert correlation_set(p) == correlation_set(q)
@@ -126,13 +136,13 @@ def test_correlation_set_known_cases():
 def test_correlation_matches_truncation_definition(length):
     # The indicator used everywhere (prefix == suffix) must agree with the
     # roundabout completable-truncation extraction for every pattern.
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         assert correlation_set(p).coefficients == operational_correlation(str(p))
 
 
 @pytest.mark.parametrize("length", range(1, 9))
 def test_full_length_overlap_always_present(length):
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         assert correlation_set(p).coefficients[-1] == 1
 
 
@@ -161,7 +171,7 @@ def test_expected_waiting_time_values(text, value):
 @pytest.mark.parametrize("length", range(1, 9))
 def test_waiting_time_parity_bounds_and_extremes(length):
     lo, hi = waiting_time_bounds(length)
-    for p in all_patterns(length):
+    for p in patterns_of_length(length, canonical=False):
         n = expected_waiting_time(p)
         assert n % 2 == 0
         assert lo <= n <= hi
