@@ -8,10 +8,8 @@ brute-force enumeration and Monte Carlo simulation.
 """
 
 from .counting import (
-    AvoidanceAutomaton,
     IdentityReport,
     OccurrenceCounts,
-    build_automaton,
     closed_form_tau,
     extend_counts,
     fibonacci,
@@ -50,7 +48,6 @@ from .table import TableRow, waiting_time_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvoidanceAutomaton",
     "CoinwaitError",
     "CorrelationSet",
     "DyadicRational",
@@ -68,7 +65,6 @@ __all__ = [
     "TableRow",
     "TooLargeError",
     "WaitingTimeReport",
-    "build_automaton",
     "closed_form_tau",
     "complement",
     "correlation_set",

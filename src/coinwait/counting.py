@@ -1,4 +1,4 @@
-"""Exact avoidance and first-occurrence counting via a pattern automaton.
+"""Exact avoidance and first-occurrence counting from the pattern's overlaps.
 
 Two integer sequences carry the whole story for a pattern of length m:
 
@@ -6,16 +6,22 @@ Two integer sequences carry the whole story for a pattern of length m:
 * tau_n:   how many length-n strings contain it exactly once, flush at
            the right-hand end (the game ends on toss n).
 
-Both are computed by pushing exact state-occupancy counts through a small
-deterministic automaton whose state is the length of the longest pattern
-prefix currently matched.  Appending one toss to every live string either
-keeps it alive or finishes its game, which is the doubling identity
+Both follow from the self-overlaps alone (Guibas & Odlyzko, "String
+overlaps, pattern matching, and nontransitive games", JCTA 30, 1981).  With
+c(z) the autocorrelation polynomial, the avoiding strings have generating
+function S(z) = c(z) / (z**m + (1 - 2z) c(z)).  Clearing the denominator
+gives a sparse integer recurrence over the overlap shifts
+I = {m - j : c_j = 1, j < m}:
 
-    2 * sigma_{n-1} = sigma_n + tau_n.
+    sigma_n = 2**n                                           (n < m)
+    sigma_n = 2 sigma_{n-1} - sigma_{n-m}
+              - sum_{i in I} (sigma_{n-i} - 2 sigma_{n-1-i})  (n >= m)
 
-The self-overlap coefficients c_j of the pattern tie the two sequences
-together, sigma_n = sum_j c_j * tau_{j+n}, and telescoping the doubling
-identity gives the exact dyadic mass balance checked by verify_identities.
+Appending one toss to every avoiding string either keeps it avoiding or
+finishes its game, so 2 * sigma_{n-1} = sigma_n + tau_n (the doubling
+identity), and the engine reads tau off it.  The overlaps also give
+sigma_n = sum_j c_j * tau_{j+n}, and telescoping the doubling identity
+gives an exact dyadic mass balance; verify_identities checks all three.
 
 Everything here is integer arithmetic on Python ints, so counts of any
 size stay exact; there is no overflow to guard against.
@@ -30,10 +36,8 @@ from .errors import InvalidHorizonError, InvalidIndexError
 from .pattern import CorrelationSet, Pattern, correlation_set
 
 __all__ = [
-    "AvoidanceAutomaton",
     "OccurrenceCounts",
     "IdentityReport",
-    "build_automaton",
     "occurrence_counts",
     "extend_counts",
     "closed_form_tau",
@@ -59,91 +63,32 @@ def fibonacci(n: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class AvoidanceAutomaton:
-    """Deterministic matcher over states 0..m for a length-m pattern.
-
-    State k means the last k tosses equal the pattern's length-k prefix and
-    no longer prefix fits.  State m is the absorbing "pattern complete"
-    state; transitions are stored only for the m live states, two per state.
-    """
-
-    pattern: Pattern
-    transitions: tuple[tuple[int, int], ...]
-
-    @property
-    def accepting_state(self) -> int:
-        return len(self.pattern)
-
-    def step(self, state: int, bit: int) -> int:
-        return self.transitions[state][bit]
-
-
-def _prefix_function(bits: tuple[int, ...]) -> list[int]:
-    # pi[i] = length of the longest proper prefix of bits[:i+1] that is
-    # also its suffix (classic failure function).
-    pi = [0] * len(bits)
-    k = 0
-    for i in range(1, len(bits)):
-        while k > 0 and bits[i] != bits[k]:
-            k = pi[k - 1]
-        if bits[i] == bits[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
-def build_automaton(p: Pattern) -> AvoidanceAutomaton:
-    """Build the longest-prefix matcher for a pattern.
-
-    From state k, the pattern's own next bit advances to k + 1; the other
-    bit falls back to the automaton's move from the failure state, so each
-    target is itself the longest prefix consistent with the new stream
-    suffix.  Construction is deterministic and linear in the length.
-    """
-    bits = p.bits
-    m = len(bits)
-    pi = _prefix_function(bits)
-    table: list[tuple[int, int]] = []
-    for k in range(m):
-        row = []
-        for b in (0, 1):
-            if b == bits[k]:
-                row.append(k + 1)
-            elif k == 0:
-                row.append(0)
-            else:
-                row.append(table[pi[k - 1]][b])
-        table.append(tuple(row))
-    return AvoidanceAutomaton(pattern=p, transitions=tuple(table))
-
-
-@dataclass(frozen=True, slots=True)
 class OccurrenceCounts:
     """Exact sigma/tau sequences for one pattern up to a horizon.
 
-    `state_occupancy` holds the per-state counts of the avoiding strings of
-    length `horizon`, which is exactly the information needed to resume the
-    recursion (see extend_counts).
+    The recurrence looks back at most m terms of sigma, so the sequences
+    themselves are all the state needed to resume it (see extend_counts).
     """
 
     pattern: Pattern
     horizon: int
     sigma: tuple[int, ...]
     tau: tuple[int, ...]
-    state_occupancy: tuple[int, ...]
 
 
 def occurrence_counts(p: Pattern, horizon: int) -> OccurrenceCounts:
     """Count avoiding strings and first completions for lengths 0..horizon.
 
-    One step appends one toss to every avoiding string: counts move through
-    the automaton, and whatever lands in the absorbing state is that step's
-    tau.  sigma_0 = 1 (the empty string), tau_0 = 0.
+    sigma_0 = 1 (the empty string) and tau_0 = 0; each later sigma_n comes
+    from the overlap recurrence and tau_n from the doubling identity.
+
+    >>> counts = occurrence_counts(Pattern((1, 1)), 9)
+    >>> counts.sigma == tuple(fibonacci(n + 2) for n in range(10))
+    True
     """
     if horizon < 0:
         raise InvalidHorizonError(f"horizon must be >= 0, got {horizon}")
-    start = _initial_counts(p)
-    return _advance(start, horizon)
+    return _advance(OccurrenceCounts(p, 0, (1,), (0,)), horizon)
 
 
 def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
@@ -159,36 +104,23 @@ def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
     return _advance(counts, horizon)
 
 
-def _initial_counts(p: Pattern) -> OccurrenceCounts:
-    occupancy = [0] * len(p)
-    occupancy[0] = 1  # the empty string sits at state 0
-    return OccurrenceCounts(p, 0, (1,), (0,), tuple(occupancy))
-
-
 def _advance(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
-    auto = build_automaton(counts.pattern)
-    m = len(counts.pattern)
-    occupancy = list(counts.state_occupancy)
+    p = counts.pattern
+    m = len(p)
+    # The shifts I of the proper overlaps; the full one is the sigma_{n-m} term.
+    shifts = [m - j for j in correlation_set(p).overlap_lengths()[:-1]]
     sigma = list(counts.sigma)
     tau = list(counts.tau)
-    for _ in range(counts.horizon + 1, horizon + 1):
-        nxt = [0] * m
-        absorbed = 0
-        for k, c in enumerate(occupancy):
-            if c == 0:
-                continue
-            for b in (0, 1):
-                t = auto.transitions[k][b]
-                if t == m:
-                    absorbed += c
-                else:
-                    nxt[t] += c
-        occupancy = nxt
-        sigma.append(sum(nxt))
-        tau.append(absorbed)
-    return OccurrenceCounts(
-        counts.pattern, horizon, tuple(sigma), tuple(tau), tuple(occupancy)
-    )
+    for n in range(counts.horizon + 1, horizon + 1):
+        if n < m:
+            s = 1 << n
+        else:
+            s = 2 * sigma[n - 1] - sigma[n - m] - sum(
+                sigma[n - i] - 2 * sigma[n - 1 - i] for i in shifts
+            )
+        tau.append(2 * sigma[n - 1] - s)
+        sigma.append(s)
+    return OccurrenceCounts(p, horizon, tuple(sigma), tuple(tau))
 
 
 # Closed forms for the four families with classical answers.  Each maps the
@@ -244,11 +176,10 @@ def mean_via_sigma_series(p: Pattern, horizon: int) -> DyadicRational:
     exact residual (the series is a verification path, the closed form is
     the source of truth).
     """
-    counts = occurrence_counts(p, horizon)
-    total = DyadicRational(0)
-    for n, s in enumerate(counts.sigma):
-        total = total + DyadicRational(s, n)
-    return total
+    total = 0
+    for s in occurrence_counts(p, horizon).sigma:
+        total = 2 * total + s  # Horner: sum of sigma_n * 2**(horizon - n)
+    return DyadicRational(total, horizon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,6 +213,11 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
     (b) expansion:    sigma_n == sum_j c_j * tau_{j+n}           (0 <= n <= N-m)
     (c) telescoping:  sum_{n<=q} tau_n / 2**n == 1 - sigma_q / 2**q
                       as canonical dyadics, at every q from m to N.
+
+    The engine reads tau off (a), so (a) holds by construction and (c)
+    follows from it.  (b) is the engine's recurrence rearranged, checked
+    against the coefficients rather than the shifts.  The independent
+    evidence is the exhaustive tally, which `coinwait verify` also runs.
 
     Failures land in the report rather than raising; they indicate a bug,
     since all three are theorems.

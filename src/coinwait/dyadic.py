@@ -27,9 +27,10 @@ class DyadicRational:
         if num == 0:
             exp = 0
         else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+            # num & -num isolates the lowest set bit, also for negative num.
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", exp)
 

@@ -28,6 +28,9 @@ __all__ = [
 # 2**24 strings is plenty for cross-checks and still enumerates in seconds.
 DEFAULT_ENUMERATION_CEILING = 24
 
+# Strings are enumerated as uint32 words, so no ceiling can admit 32 tosses.
+_MAX_ENUMERATION_BITS = 31
+
 # A game that runs this long is a bug, not bad luck: even the slowest
 # length-20 pattern finishes in ~2**21 tosses on average.
 GAME_LENGTH_CAP = 10**6
@@ -72,13 +75,14 @@ def exhaustive_tally(
     Strings are the integers 0..2**n - 1 with the most significant bit as
     the first toss.  For each end position j the m-bit window is compared
     against the pattern directly; the earliest hit wins, later recurrences
-    are irrelevant.  All counting is exact.
+    are irrelevant.  All counting is exact.  n may not exceed min(ceiling, 31).
     """
     m = len(p)
     if n < m:
         raise InvalidHorizonError(f"n must be >= pattern length {m}, got {n}")
-    if n > ceiling:
-        raise TooLargeError(f"n={n} exceeds the enumeration ceiling {ceiling}")
+    limit = min(ceiling, _MAX_ENUMERATION_BITS)
+    if n > limit:
+        raise TooLargeError(f"n={n} exceeds the enumeration ceiling {limit}")
 
     pval = _pattern_window_value(p)
     mask = (1 << m) - 1

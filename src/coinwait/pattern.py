@@ -137,16 +137,29 @@ class CorrelationSet:
 
 
 def correlation_set(p: Pattern) -> CorrelationSet:
-    """Compute the self-overlap indicators of a pattern.
+    """Compute the self-overlap indicators of a pattern in linear time.
 
-    Uses the static prefix == suffix criterion; quadratic in the pattern
-    length, which is tiny for anything a fair coin can realistically reach.
+    The j with c_j = 1 are the pattern's borders, which form a chain: m,
+    then the longest proper border of the pattern, then that border's own
+    longest proper border, down to 0.  The KMP failure function gives it.
     """
-    m = len(p)
-    coeffs = tuple(
-        1 if p.bits[:j] == p.bits[m - j:] else 0 for j in range(1, m + 1)
-    )
-    return CorrelationSet(coeffs)
+    bits = p.bits
+    m = len(bits)
+    # border[i] = length of the longest proper border of bits[:i + 1]
+    border = [0] * m
+    k = 0
+    for i in range(1, m):
+        while k and bits[i] != bits[k]:
+            k = border[k - 1]
+        if bits[i] == bits[k]:
+            k += 1
+        border[i] = k
+    coeffs = [0] * m
+    j = m
+    while j:
+        coeffs[j - 1] = 1
+        j = border[j - 1]
+    return CorrelationSet(tuple(coeffs))
 
 
 def expected_waiting_time(p: Pattern) -> int:

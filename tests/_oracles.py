@@ -103,3 +103,63 @@ def longest_prefix_suffix_state(pattern: str, stream: str) -> int:
         if k == 0 or stream.endswith(pattern[:k]):
             return k
     raise AssertionError("unreachable")
+
+
+def prefix_automaton(pattern: str) -> tuple[tuple[int, int], ...]:
+    """Longest-prefix matcher for a pattern, as a transition table.
+
+    Row k is state k (the stream ends with the pattern's length-k prefix
+    and no longer one); entry b is the state after appending bit b.  There
+    are m live states; state m, "pattern complete", absorbs and has no row.
+    The pattern's own next bit advances k to k + 1; the other bit falls
+    back to the move from the failure state, found by the classic KMP
+    failure function.
+    """
+    m = len(pattern)
+    failure = [0] * m
+    k = 0
+    for i in range(1, m):
+        while k > 0 and pattern[i] != pattern[k]:
+            k = failure[k - 1]
+        if pattern[i] == pattern[k]:
+            k += 1
+        failure[i] = k
+    table: list[tuple[int, int]] = []
+    for k in range(m):
+        row = []
+        for b in "01":
+            if b == pattern[k]:
+                row.append(k + 1)
+            elif k == 0:
+                row.append(0)
+            else:
+                row.append(table[failure[k - 1]][int(b)])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def automaton_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int]]:
+    """The same counts by pushing state-occupancy counts through the matcher.
+
+    One step appends one toss to every avoiding string: counts move along
+    the automaton's transitions, and whatever reaches the absorbing state
+    is that step's tau.
+    """
+    table = prefix_automaton(pattern)
+    m = len(pattern)
+    occupancy = [1] + [0] * (m - 1)  # the empty string sits at state 0
+    sigma = [1]
+    tau = [0]
+    for _ in range(horizon):
+        stepped = [0] * m
+        absorbed = 0
+        for k, count in enumerate(occupancy):
+            for target in table[k]:
+                if target == m:
+                    absorbed += count
+                else:
+                    stepped[target] += count
+        occupancy = stepped
+        sigma.append(sum(stepped))
+        tau.append(absorbed)
+    return sigma, tau

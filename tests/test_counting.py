@@ -9,7 +9,6 @@ from coinwait import (
     InvalidHorizonError,
     InvalidIndexError,
     Pattern,
-    build_automaton,
     closed_form_tau,
     expected_waiting_time,
     extend_counts,
@@ -22,7 +21,13 @@ from coinwait import (
     verify_identities,
 )
 
-from _oracles import brute_sigma_tau, conditioned_sigma_tau, longest_prefix_suffix_state
+from _oracles import (
+    automaton_sigma_tau,
+    brute_sigma_tau,
+    conditioned_sigma_tau,
+    longest_prefix_suffix_state,
+    prefix_automaton,
+)
 
 
 bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
@@ -42,34 +47,45 @@ def test_fibonacci_rejects_negative():
         fibonacci(-1)
 
 
-# -- the matcher automaton ---------------------------------------------
+# -- the matcher automaton oracle --------------------------------------
 
 
 def test_automaton_tables_for_small_patterns():
-    assert build_automaton(parse_pattern("11")).transitions == ((0, 1), (0, 2))
-    assert build_automaton(parse_pattern("10")).transitions == ((0, 1), (2, 1))
+    assert prefix_automaton("11") == ((0, 1), (0, 2))
+    assert prefix_automaton("10") == ((0, 1), (2, 1))
 
 
 def test_automaton_table_threefold_overlap():
-    auto = build_automaton(parse_pattern("10101"))
+    table = prefix_automaton("10101")
     # from state 4 (stream suffix 1010) a 0 gives 10100, and no nonempty
     # prefix of 10101 ends that stream, so the fallback is all the way to 0
-    assert auto.transitions == ((0, 1), (2, 1), (0, 3), (4, 1), (0, 5))
-    assert auto.accepting_state == 5
-    assert auto.step(4, 1) == 5
-    assert auto.step(4, 0) == 0
+    assert table == ((0, 1), (2, 1), (0, 3), (4, 1), (0, 5))
+    assert len(table) == 5  # live states 0..4; state 5 accepts
+    assert table[4][1] == 5
+    assert table[4][0] == 0
 
 
 @pytest.mark.parametrize("length", range(1, 9))
 def test_automaton_matches_longest_prefix_definition(length):
     for p in patterns_of_length(length, canonical=False):
-        auto = build_automaton(p)
         text = str(p)
+        table = prefix_automaton(text)
         for k in range(length):
             for b in "01":
-                assert auto.step(k, int(b)) == longest_prefix_suffix_state(
+                assert table[k][int(b)] == longest_prefix_suffix_state(
                     text, text[:k] + b
                 )
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_counts_match_automaton_occupancy(length):
+    # all 510 patterns of length 1..8 against occupancy counting
+    horizon = 60
+    for p in patterns_of_length(length, canonical=False):
+        sigma, tau = automaton_sigma_tau(str(p), horizon)
+        counts = occurrence_counts(p, horizon)
+        assert list(counts.sigma) == sigma
+        assert list(counts.tau) == tau
 
 
 # -- sigma/tau counting ------------------------------------------------
@@ -97,7 +113,7 @@ def test_counts_match_enumeration_fivefold_overlap():
 
 @pytest.mark.parametrize("text", ["01", "11", "100", "110", "1011", "10101"])
 def test_counts_match_suffix_conditioned_recursion(text):
-    # the automaton engine must reproduce the classic last-bits recursion
+    # the overlap recurrence must reproduce the classic last-bits recursion
     horizon = 64
     sigma, tau = conditioned_sigma_tau(text, horizon)
     counts = occurrence_counts(parse_pattern(text), horizon)

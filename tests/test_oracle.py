@@ -76,6 +76,14 @@ def test_tally_rejects_short_and_huge_n():
         exhaustive_tally(parse_pattern("110"), 15, ceiling=14)
 
 
+@pytest.mark.parametrize("n", [32, 33, 40])
+def test_tally_refuses_32_tosses_whatever_the_ceiling(n):
+    # strings are uint32 words, so n >= 32 is refused before any 2**n-entry
+    # array is allocated
+    with pytest.raises(TooLargeError):
+        exhaustive_tally(parse_pattern("110"), n, ceiling=40)
+
+
 # -- simulation --------------------------------------------------------
 
 

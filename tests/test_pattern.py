@@ -26,6 +26,30 @@ from _oracles import operational_correlation
 bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=12).map(tuple)
 
 
+def _doubled(pieces):
+    # w -> w + x + w for each piece x: every earlier w stays a border, so
+    # the border chain is as deep as the number of pieces.
+    w = ()
+    for x in pieces:
+        w = w + tuple(x) + w
+    return w[:300] or (1,)
+
+
+# Patterns up to length 300: random ones, and two shapes with long chains
+# of overlaps (a short unit repeated and cut anywhere, and nested doubling).
+long_bit_tuples = st.one_of(
+    st.lists(st.integers(0, 1), min_size=1, max_size=300).map(tuple),
+    st.builds(
+        lambda unit, length: tuple((unit * length)[:length]),
+        st.lists(st.integers(0, 1), min_size=1, max_size=8),
+        st.integers(1, 300),
+    ),
+    st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=1, max_size=8).map(
+        _doubled
+    ),
+)
+
+
 # -- parsing -----------------------------------------------------------
 
 
@@ -134,10 +158,19 @@ def test_correlation_set_known_cases():
 
 @pytest.mark.parametrize("length", range(1, 9))
 def test_correlation_matches_truncation_definition(length):
-    # The indicator used everywhere (prefix == suffix) must agree with the
-    # roundabout completable-truncation extraction for every pattern.
+    # The border-chain indicators must agree with the roundabout
+    # completable-truncation extraction for every pattern.
     for p in patterns_of_length(length, canonical=False):
         assert correlation_set(p).coefficients == operational_correlation(str(p))
+
+
+@given(long_bit_tuples)
+def test_correlation_matches_slicing_definition(bits):
+    # c_j = 1 exactly when the length-j prefix equals the length-j suffix;
+    # the truncation oracle above is exponential, this reaches length 300.
+    m = len(bits)
+    expected = tuple(int(bits[:j] == bits[m - j:]) for j in range(1, m + 1))
+    assert correlation_set(Pattern(bits)).coefficients == expected
 
 
 @pytest.mark.parametrize("length", range(1, 9))
