@@ -24,7 +24,7 @@ from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
-from .counting import occurrence_counts, verify_identities
+from .counting import extend_counts, occurrence_counts, verify_identities
 from .dyadic import DyadicRational
 from .errors import CoinwaitError, SimulationRunawayError
 from .oracle import exhaustive_tally, simulate
@@ -340,7 +340,7 @@ def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
     m = len(pattern)
     report = verify_identities(pattern, horizon)
     n_top = max(m, oracle_n)
-    counts = occurrence_counts(pattern, max(horizon, n_top))
+    counts = extend_counts(report.counts, max(horizon, n_top))
     oracle_failures = []
     for n in range(m, n_top + 1):
         tally = exhaustive_tally(pattern, n)

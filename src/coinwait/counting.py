@@ -186,6 +186,7 @@ def mean_via_sigma_series(p: Pattern, horizon: int) -> DyadicRational:
 class IdentityReport:
     """Outcome of the exact identity checks for one pattern.
 
+    counts holds the sigma/tau sequences the identities were checked on.
     Each failure list holds the indices n where the identity broke; all
     three empty means every identity held at every index.
     """
@@ -193,6 +194,7 @@ class IdentityReport:
     pattern: Pattern
     horizon: int
     correlation: CorrelationSet
+    counts: OccurrenceCounts
     doubling_failures: tuple[int, ...]
     expansion_failures: tuple[int, ...]
     telescoping_failures: tuple[int, ...]
@@ -253,6 +255,7 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
         pattern=p,
         horizon=horizon,
         correlation=corr,
+        counts=counts,
         doubling_failures=doubling,
         expansion_failures=expansion,
         telescoping_failures=tuple(telescoping),

@@ -40,8 +40,10 @@ class TooLargeError(CoinwaitError):
 
 
 class SimulationRunawayError(CoinwaitError):
-    """A simulated game hit the per-game toss cap.
+    """A simulated game was still live at the per-game toss cap.
 
-    Completion is almost sure, so reaching the cap signals a bug in the
-    simulator rather than bad luck.
+    The default cap is sized to the pattern length and the number of
+    games, so that a fair coin reaches it with probability at most 1e-12
+    per call; reaching it signals a bug in the simulator rather than bad
+    luck.  A caller-supplied cap can of course be reached by chance.
     """

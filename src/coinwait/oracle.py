@@ -2,10 +2,23 @@
 
 Nothing in this module touches the counting engine.  The exhaustive tally
 classifies every binary string of a given length by direct window
-comparison over its bits; the simulator plays games with a sliding window
-over freshly tossed bits.  Agreement with the engine's sigma/tau sequences
-and with the closed-form means is therefore a genuine cross-check, not a
-tautology.
+comparison over its bits; the simulator plays games against freshly tossed
+bits, comparing each game's last m tosses with the pattern.  Agreement with
+the engine's sigma/tau sequences and with the closed-form means is
+therefore a genuine cross-check, not a tautology.
+
+The simulator reads one toss stream S from its seeded PCG64 generator: the
+top bit of each successive 32-bit draw, which is what
+``integers(0, 2, dtype=uint64)`` returns, with half-words carried across
+calls.  Games are played in rounds; in round r the live game of rank j
+among k live games gets toss S[pos_r + j], and pos_{r+1} = pos_r + k.
+While many games are live, each round is one vectorised step.  Once
+k * m fits in a block budget, the live set stays fixed until some game
+completes, so the next B rounds are just S[pos : pos + B*k] as a B x k
+array: one scan finds the first round that completes a game, that round
+is settled and the rest of the block goes back to the stream.  Both modes
+read the same stream the same way, so a seed gives the same games
+whichever mode plays them.
 """
 
 from __future__ import annotations
@@ -31,9 +44,19 @@ DEFAULT_ENUMERATION_CEILING = 24
 # Strings are enumerated as uint32 words, so no ceiling can admit 32 tosses.
 _MAX_ENUMERATION_BITS = 31
 
-# A game that runs this long is a bug, not bad luck: even the slowest
-# length-20 pattern finishes in ~2**21 tosses on average.
-GAME_LENGTH_CAP = 10**6
+# Tosses (live games x rounds) read per block scan.  Rounds go in blocks once
+# live games x pattern length fits in it; with more live games some game
+# completes nearly every round, and one vectorised step per round is cheaper
+# than scanning rounds past that completion.
+_BLOCK_TOSSES = 1 << 15
+
+# The default runaway guard trips on a fair coin with at most this
+# probability over all games of one call.
+_FALSE_TRIP = 1e-12
+
+# Trials are not chunked (that would change which toss each game reads),
+# so the arrays hold every game at once: about 60 B per trial at peak.
+_MAX_TRIALS = 10**7
 
 
 def _pattern_window_value(p: Pattern) -> int:
@@ -126,44 +149,40 @@ class SimulationResult:
 
 
 def simulate(
-    p: Pattern, trials: int, seed: int, *, max_tosses: int = GAME_LENGTH_CAP
+    p: Pattern, trials: int, seed: int, *, max_tosses: int | None = None
 ) -> SimulationResult:
     """Play independent games to completion and report the sample mean.
 
-    Each game tosses fair bits from a PCG64 stream seeded with `seed` until
-    the last len(p) tosses equal the pattern.  Identical (pattern, trials,
-    seed) always reproduce the identical result.  All still-running games
-    share each round's draw, so the whole run is a deterministic function
-    of the seed.
+    Each game tosses fair bits until its last len(p) tosses equal the
+    pattern.  All games read one PCG64 toss stream seeded with `seed`,
+    round-robin over the games still live (see the module docstring), so
+    identical (pattern, trials, seed) always reproduce the identical result.
+
+    A game still live after `max_tosses` tosses raises
+    SimulationRunawayError.  The default cap is m * k tosses with
+    k = ceil(log(1e-12 / trials) / log(1 - 2**-m)): each run of m fresh
+    tosses spells the pattern with probability 2**-m, so a game outlasts
+    the cap with probability at most (1 - 2**-m)**k, and all `trials`
+    games together with at most 1e-12.  The cap uses no engine value.
+    More than 10**7 trials raise TooLargeError before anything is allocated.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise TooLargeError(
+            f"trials={trials} exceeds the simulation ceiling {_MAX_TRIALS}"
+        )
     m = len(p)
     if m > 64:
         raise TooLargeError("simulation window holds at most 64 tosses")
+    if max_tosses is None:
+        max_tosses = m * math.ceil(
+            math.log(_FALSE_TRIP / trials) / math.log1p(-(2.0**-m))
+        )
 
-    pval = np.uint64(_pattern_window_value(p))
-    mask = np.uint64((1 << m) - 1)
-    one = np.uint64(1)
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    window = np.zeros(trials, dtype=np.uint64)
     lengths = np.zeros(trials, dtype=np.int64)
-    alive = np.arange(trials, dtype=np.int64)
-    tosses = 0
-    while alive.size:
-        tosses += 1
-        if tosses > max_tosses:
-            raise SimulationRunawayError(
-                f"a game exceeded {max_tosses} tosses; the simulator is broken"
-            )
-        bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
-        current = ((window[alive] << one) | bits) & mask
-        window[alive] = current
-        if tosses >= m:
-            finished = current == pval
-            lengths[alive[finished]] = tosses
-            alive = alive[~finished]
+    _play(p, lengths, rng, max_tosses)
 
     mean = float(lengths.mean())
     if trials > 1:
@@ -179,3 +198,96 @@ def simulate(
         sample_stderr=stderr,
         max_game_length_seen=int(lengths.max()),
     )
+
+
+def _runaway(max_tosses: int) -> SimulationRunawayError:
+    return SimulationRunawayError(
+        f"a game exceeded {max_tosses} tosses; the simulator is broken"
+    )
+
+
+def _play(
+    p: Pattern, lengths: np.ndarray, rng: np.random.Generator, max_tosses: int
+) -> None:
+    """Fill lengths[i] with the length of game i.
+
+    Rounds are single vectorised steps until every live game has m - 1
+    tosses and live games x m fits in the block budget; _scan_blocks plays
+    the rest.  window holds each live game's last m tosses as an integer,
+    first toss most significant, aligned with alive.
+    """
+    m = len(p)
+    pval = np.uint64(_pattern_window_value(p))
+    mask = np.uint64((1 << m) - 1)
+    one = np.uint64(1)
+    alive = np.arange(lengths.size, dtype=np.int64)
+    window = np.zeros(lengths.size, dtype=np.uint64)
+    tosses = 0
+    while alive.size * m > _BLOCK_TOSSES or tosses < m - 1:
+        if tosses >= max_tosses:
+            raise _runaway(max_tosses)
+        tosses += 1
+        bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
+        window = ((window << one) | bits) & mask
+        if tosses >= m:
+            keep = window != pval
+            lengths[alive[~keep]] = tosses
+            alive = alive[keep]
+            window = window[keep]
+            if not alive.size:
+                return
+    # The last m - 1 tosses of each live game, oldest first, one row each.
+    ages = np.arange(m - 2, -1, -1, dtype=np.uint64)
+    history = ((window >> ages[:, None]) & one).astype(bool)
+    _scan_blocks(p.bits, history, alive, lengths, rng, tosses, max_tosses)
+
+
+def _scan_blocks(
+    bits: tuple[int, ...],
+    history: np.ndarray,
+    alive: np.ndarray,
+    lengths: np.ndarray,
+    rng: np.random.Generator,
+    tosses: int,
+    max_tosses: int,
+) -> None:
+    """Finish the live games block by block, settling one round per block.
+
+    Row q of a block holds round tosses + q + 1 for every live game.  Stacked
+    under each game's last m - 1 tosses, the game completes in that round
+    when rows q .. q + m - 1 spell the pattern: m boolean ANDs find every
+    completing (round, game) cell of the block at once.
+    """
+    m = len(bits)
+    stream = np.empty(0, dtype=bool)  # drawn tosses not yet read, from `at`
+    at = 0
+    while alive.size:
+        k = alive.size
+        rounds = min(_BLOCK_TOSSES // k, max_tosses - tosses)
+        if rounds <= 0:
+            raise _runaway(max_tosses)
+        need = rounds * k
+        if stream.size - at < need:
+            fresh = rng.integers(
+                0, 1 << 32, size=max(need, _BLOCK_TOSSES), dtype=np.uint32
+            )
+            stream = np.concatenate((stream[at:], (fresh >> 31).astype(bool)))
+            at = 0
+        tape = np.concatenate((history, stream[at : at + need].reshape(rounds, k)))
+        sides = (~tape, tape)
+        hit = sides[bits[0]][:rounds].copy()
+        for i in range(1, m):
+            np.logical_and(hit, sides[bits[i]][i : i + rounds], out=hit)
+        completing = hit.any(axis=1)
+        if not completing.any():
+            tosses += rounds
+            at += need
+            history = tape[rounds:]
+            continue
+        q = int(completing.argmax())
+        tosses += q + 1
+        at += (q + 1) * k
+        keep = ~hit[q]
+        lengths[alive[hit[q]]] = tosses
+        alive = alive[keep]
+        history = tape[q + 1 : q + m, keep]

@@ -7,6 +7,8 @@ two sides is meaningful evidence rather than the same code twice.
 
 from itertools import product
 
+import numpy as np
+
 
 def brute_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int]]:
     """Count avoiding and first-terminating strings by full enumeration.
@@ -163,3 +165,41 @@ def automaton_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int
         sigma.append(sum(stepped))
         tau.append(absorbed)
     return sigma, tau
+
+
+def per_toss_simulation(
+    pattern: str, trials: int, seed: int, max_tosses: int | None = None
+) -> tuple[float, float, int] | None:
+    """Monte Carlo games played one toss per live game per round.
+
+    Every round draws one fair bit for each live game, in trial order, from
+    a PCG64 generator seeded with `seed`, and shifts it into that game's
+    window of its last m tosses.  Returns (sample mean, standard error of
+    the mean, longest game), or None when some game is still live after
+    `max_tosses` tosses (no limit when None).
+    """
+    m = len(pattern)
+    pval = np.uint64(int(pattern, 2))
+    mask = np.uint64((1 << m) - 1)
+    one = np.uint64(1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    window = np.zeros(trials, dtype=np.uint64)
+    lengths = np.zeros(trials, dtype=np.int64)
+    alive = np.arange(trials, dtype=np.int64)
+    tosses = 0
+    while alive.size:
+        tosses += 1
+        if max_tosses is not None and tosses > max_tosses:
+            return None
+        bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
+        current = ((window[alive] << one) | bits) & mask
+        window[alive] = current
+        if tosses >= m:
+            finished = current == pval
+            lengths[alive[finished]] = tosses
+            alive = alive[~finished]
+
+    mean = float(lengths.mean())
+    stderr = float(lengths.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr, int(lengths.max())

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from coinwait import (
+    CorrelationSet,
     DyadicRational,
     IdentityReport,
     SimulationRunawayError,
@@ -15,7 +16,7 @@ from coinwait import (
     parse_pattern,
     waiting_time_table,
 )
-from coinwait import cli
+from coinwait import cli, counting
 from coinwait.cli import main
 
 
@@ -224,6 +225,13 @@ def test_simulate_rejects_bad_trials(capsys):
     assert run(["simulate", "11", "--trials", "0"], capsys)[0] == 1
 
 
+def test_simulate_refuses_too_many_trials(capsys):
+    code, out, err = run(["simulate", "110", "--trials", "100000000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "10000000" in err
+
+
 def test_simulate_runaway_maps_to_internal_guard_exit(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SimulationRunawayError("a game exceeded the cap")
@@ -263,6 +271,7 @@ def test_verify_reports_failures_with_exit_two(capsys, monkeypatch):
             pattern=p,
             horizon=horizon,
             correlation=correlation_set(p),
+        counts=occurrence_counts(p, horizon),
             doubling_failures=(3,),
             expansion_failures=(),
             telescoping_failures=(),
@@ -275,6 +284,24 @@ def test_verify_reports_failures_with_exit_two(capsys, monkeypatch):
     assert code == 2
     assert "FAIL" in out
     assert "doubling at n=3" in out
+
+
+def test_verify_catches_a_wrong_overlap_set(capsys, monkeypatch):
+    # the engine and the identity checks both read the overlap set; only the
+    # exhaustive tally can notice when it is wrong
+    true_correlation = correlation_set
+
+    def without_proper_overlaps(p):
+        if str(p) == "10101":
+            return CorrelationSet((0, 0, 0, 0, 1))
+        return true_correlation(p)
+
+    monkeypatch.setattr(counting, "correlation_set", without_proper_overlaps)
+    code, out, _ = run(["verify", "--lengths", "5..5", "--format", "json"], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    rows = {r["pattern"]: r for r in json.loads(out)["results"]["patterns"]}
+    assert rows["10101"]["oracle_ok"] is False
+    assert [p for p, r in rows.items() if not r["oracle_ok"]] == ["10101"]
 
 
 def test_verify_rejects_small_horizon(capsys):

@@ -21,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from coinwait import IdentityReport, correlation_set
+from coinwait import IdentityReport, correlation_set, occurrence_counts
 from coinwait import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,6 +73,7 @@ def _always_broken(p, horizon):
         pattern=p,
         horizon=horizon,
         correlation=correlation_set(p),
+        counts=occurrence_counts(p, horizon),
         doubling_failures=(3,),
         expansion_failures=(),
         telescoping_failures=(5, 7),

@@ -1,5 +1,7 @@
 """Brute-force enumeration and Monte Carlo simulation cross-checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from coinwait import (
     InvalidHorizonError,
     Pattern,
+    SimulationResult,
     SimulationRunawayError,
     TooLargeError,
     exhaustive_tally,
@@ -17,7 +20,7 @@ from coinwait import (
     simulate,
 )
 
-from _oracles import brute_sigma_tau
+from _oracles import brute_sigma_tau, per_toss_simulation
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -121,6 +124,74 @@ def test_runaway_guard_trips():
     # a 2-toss cap cannot accommodate any game that misses HH straight away
     with pytest.raises(SimulationRunawayError):
         simulate(parse_pattern("11"), 64, 1, max_tosses=2)
+
+
+@pytest.mark.parametrize("trials", [10**7 + 1, 10**12])
+def test_simulate_refuses_more_than_ten_million_trials(trials):
+    # refused before the per-game arrays are allocated: 10**12 games would
+    # need terabytes
+    with pytest.raises(TooLargeError):
+        simulate(parse_pattern("110"), trials, 1)
+
+
+def test_default_guard_lets_a_game_past_a_million_tosses_finish():
+    # mean wait 2**19 - 2; this seed's game runs 1,944,616 tosses, while the
+    # default cap for 18 tosses and one game is 18 * ceil(log(1e-12) /
+    # log(1 - 2**-18)), about 1.3e8
+    r = simulate(Pattern((1,) * 18), 1, 8)
+    assert r.max_game_length_seen > 10**6
+
+
+def _assert_matches_per_toss(text, trials, seed, max_tosses=None):
+    expected = per_toss_simulation(text, trials, seed, max_tosses)
+    p = parse_pattern(text)
+    kwargs = {} if max_tosses is None else {"max_tosses": max_tosses}
+    if expected is None:
+        with pytest.raises(SimulationRunawayError):
+            simulate(p, trials, seed, **kwargs)
+        return
+    mean, stderr, longest = expected
+    assert simulate(p, trials, seed, **kwargs) == SimulationResult(
+        pattern=p,
+        trials=trials,
+        seed=seed,
+        generator="pcg64",
+        sample_mean=mean,
+        sample_stderr=stderr,
+        max_game_length_seen=longest,
+    )
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_simulate_matches_per_toss_reference(length):
+    # the same games from the same seed, whichever mode plays the rounds
+    for p in patterns_of_length(length, canonical=False):
+        for trials in (1, 5, 40, 3000):
+            _assert_matches_per_toss(str(p), trials, 100 * length + trials)
+
+
+@pytest.mark.parametrize("length", [12, 20, 40, 64])
+def test_simulate_matches_per_toss_reference_long_patterns(length):
+    # many blocks per call; past length 12 both sides hit the cap together
+    rng = random.Random(length)
+    text = "".join(rng.choice("01") for _ in range(length))
+    _assert_matches_per_toss(text, 3, rng.getrandbits(32), max_tosses=200_000)
+
+
+@pytest.mark.parametrize(
+    "text, trials, seed, max_tosses",
+    [
+        ("110", 10**5, 3, None),  # per-toss rounds first, blocks once few are live
+        ("11", 64, 1, 2),
+        ("101", 3000, 1, 9),
+        ("10110", 40, 3, 60),
+        ("1", 1, 4, 1),
+    ],
+)
+def test_simulate_matches_per_toss_reference_at_mode_switch_and_cap(
+    text, trials, seed, max_tosses
+):
+    _assert_matches_per_toss(text, trials, seed, max_tosses)
 
 
 def test_sample_means_track_exact_values_across_seeds():
