@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -65,6 +66,9 @@ def _length_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# Built once per process: parse_args returns a fresh namespace every call,
+# and help text is formatted when printed, so nothing carries over.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument(

@@ -7,6 +7,13 @@ bits, comparing each game's last m tosses with the pattern.  Agreement with
 the engine's sigma/tau sequences and with the closed-form means is
 therefore a genuine cross-check, not a tautology.
 
+The tally walks the 2**n strings in chunks of 2**16 consecutive integers.
+Within a chunk it scans the end positions from last to first and writes
+each hit's position over the previous one, so the earliest completion is
+the one left standing.  Its arrays are one chunk long whatever n is
+(about 0.6 MB, plus bincount's 0.5 MB of indices while a chunk is
+histogrammed), so the time grows with 2**n but the memory does not.
+
 The simulator reads one toss stream S from its seeded PCG64 generator: the
 top bit of each successive 32-bit draw, which is what
 ``integers(0, 2, dtype=uint64)`` returns, with half-words carried across
@@ -38,11 +45,16 @@ __all__ = [
     "simulate",
 ]
 
-# 2**24 strings is plenty for cross-checks and still enumerates in seconds.
+# 2**24 strings is plenty for cross-checks and tallies in about a third of
+# a second.  The ceiling bounds time only: the tally's memory is fixed.
 DEFAULT_ENUMERATION_CEILING = 24
 
 # Strings are enumerated as uint32 words, so no ceiling can admit 32 tosses.
 _MAX_ENUMERATION_BITS = 31
+
+# Strings are tallied 2**16 at a time: large enough that each numpy step
+# outweighs its call overhead, small enough that the arrays stay near 1 MB.
+_TALLY_CHUNK_BITS = 16
 
 # Tosses (live games x rounds) read per block scan.  Rounds go in blocks once
 # live games x pattern length fits in it; with more live games some game
@@ -99,6 +111,13 @@ def exhaustive_tally(
     the first toss.  For each end position j the m-bit window is compared
     against the pattern directly; the earliest hit wins, later recurrences
     are irrelevant.  All counting is exact.  n may not exceed min(ceiling, 31).
+
+    The strings are walked in chunks of 2**min(n, 16).  In each chunk the
+    end positions are scanned from n down to m, every hit overwriting the
+    chunk's completion position, so the earliest one is written last and
+    no "completed yet" mask is needed.  Each chunk's positions are
+    histogrammed into one running count.  Memory is a few chunk-sized
+    arrays (about 1 MB at peak) for every n.
     """
     m = len(p)
     if n < m:
@@ -107,16 +126,24 @@ def exhaustive_tally(
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the enumeration ceiling {limit}")
 
-    pval = _pattern_window_value(p)
-    mask = (1 << m) - 1
-    strings = np.arange(1 << n, dtype=np.uint32)
-    completion = np.zeros(1 << n, dtype=np.uint8)  # 0 = not completed yet
-    for j in range(m, n + 1):
-        window = (strings >> np.uint32(n - j)) & np.uint32(mask)
-        hit = (window == np.uint32(pval)) & (completion == 0)
-        completion[hit] = j
+    pval = np.uint32(_pattern_window_value(p))
+    mask = np.uint32((1 << m) - 1)
+    c = min(n, _TALLY_CHUNK_BITS)
+    strings = np.arange(1 << c, dtype=np.uint32)  # the first chunk
+    window = np.empty_like(strings)
+    hit = np.empty(strings.size, dtype=bool)
+    completion = np.empty(strings.size, dtype=np.uint8)  # 0 = no occurrence
+    raw = np.zeros(n + 1, dtype=np.int64)
+    for _ in range(1 << (n - c)):
+        completion.fill(0)
+        for j in range(n, m - 1, -1):
+            np.right_shift(strings, np.uint32(n - j), out=window)
+            window &= mask
+            np.equal(window, pval, out=hit)
+            np.copyto(completion, j, where=hit)
+        raw += np.bincount(completion, minlength=n + 1)
+        strings += np.uint32(1 << c)  # the next chunk
 
-    raw = np.bincount(completion, minlength=n + 1)
     counts: dict[int, int] = {}
     for j in range(m, n + 1):
         full_strings = int(raw[j])

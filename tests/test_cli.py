@@ -333,6 +333,28 @@ def test_output_write_failure_is_a_usage_error(tmp_path, capsys):
     assert "No such file or directory" in err
 
 
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    target = tmp_path / "all.txt"
+    code, out, _ = run(
+        ["table", "--lengths", "2..3", "--all-patterns", "--output", str(target)],
+        capsys,
+    )
+    assert (code, out) == (0, "")
+    parser = cli._build_parser()
+    code, second, _ = run(["table", "--lengths", "2..3"], capsys)
+    assert code == 0
+    assert cli._build_parser() is parser
+    cli._build_parser.cache_clear()
+    try:
+        code, fresh, _ = run(["table", "--lengths", "2..3"], capsys)
+    finally:
+        cli._build_parser.cache_clear()
+    assert code == 0
+    # neither --all-patterns nor --output carried over into the second call
+    assert second == fresh
+    assert target.read_text(encoding="utf-8") != fresh
+
+
 def test_usage_errors_exit_one(capsys):
     assert run([], capsys)[0] == 1
     assert run(["expect"], capsys)[0] == 1

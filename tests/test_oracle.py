@@ -1,6 +1,7 @@
 """Brute-force enumeration and Monte Carlo simulation cross-checks."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,39 @@ def test_tally_refuses_32_tosses_whatever_the_ceiling(n):
     # array is allocated
     with pytest.raises(TooLargeError):
         exhaustive_tally(parse_pattern("110"), n, ceiling=40)
+
+
+def test_tally_memory_does_not_grow_with_n():
+    # numpy reports its buffers to tracemalloc; a 2**22-entry string array
+    # alone would be 16 MB
+    tracemalloc.start()
+    try:
+        exhaustive_tally(parse_pattern("111111"), 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+_CHUNK_RNG = random.Random(20261018)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["111111", "10101"]
+    + ["".join(_CHUNK_RNG.choice("01") for _ in range(m)) for m in (6, 9, 12, 15, 17, 20)],
+)
+def test_tally_agrees_with_engine_across_chunks(text):
+    # at n = 20 the strings go in 16 chunks of 2**16, each with its first
+    # four tosses fixed: windows starting there straddle those high bits and
+    # the chunk's varying low bits
+    p = parse_pattern(text)
+    counts = occurrence_counts(p, 20)
+    tally = exhaustive_tally(p, 20)
+    assert tally.avoiding_count == counts.sigma[20]
+    assert tally.first_occurrence_counts == {
+        j: counts.tau[j] for j in range(len(p), 21)
+    }
 
 
 # -- simulation --------------------------------------------------------
