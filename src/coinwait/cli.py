@@ -16,6 +16,7 @@ error, 2 verification failure, 3 internal guard tripped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -26,7 +27,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .counting import extend_counts, occurrence_counts, verify_identities
-from .dyadic import DyadicRational
+from .dyadic import EXACT_DECIMAL, DyadicRational, decimal_text
 from .errors import CoinwaitError, SimulationRunawayError
 from .oracle import exhaustive_tally, simulate
 from .pattern import (
@@ -280,27 +281,34 @@ def _cmd_dist(args) -> _Record:
             f"horizon must be >= pattern length {m}, got {args.horizon}"
         )
     counts = occurrence_counts(p, args.horizon)
+    exact = EXACT_DECIMAL
+    # k / 2**n is k * 5**n / 10**n: one running power of five scales both
+    # counts of a row into base 10, where their digits are written out.
+    five_power = exact.power(5, m)
     header = ["n", "tau", "probability", "decimal", "cumulative", "residual"]
     rows = []
     for n in range(m, args.horizon + 1):
-        prob = DyadicRational(counts.tau[n], n)
-        residual = DyadicRational(counts.sigma[n], n)
+        tau = counts.tau[n]
+        prob = exact.multiply(tau, five_power)
+        res = exact.multiply(counts.sigma[n], five_power)
         # cumulative P(T <= n) = 1 - sigma_n / 2**n, the telescoping identity
-        cells = [n, counts.tau[n], prob.fraction_str(), prob.decimal_str(),
-                 (1 - residual).decimal_str(), residual.decimal_str()]
+        cum = exact.subtract(exact.scaleb(1, n), res)
+        cells = [n, tau, DyadicRational(tau, n).fraction_str(), decimal_text(prob, n),
+                 decimal_text(cum, n), decimal_text(res, n)]
         rows.append(dict(zip(header, cells)))
+        five_power = exact.multiply(five_power, 5)
+    residual = DyadicRational(counts.sigma[-1], args.horizon).fraction_str()
 
     def text():
         return [
             f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}",
             *_aligned([header, *(row.values() for row in rows)], right={0, 1}),
             "",
-            f"mass not yet seen by the horizon: {residual.fraction_str()}"
-            f" = {residual.decimal_str()}",
+            f"mass not yet seen by the horizon: {residual} = {rows[-1]['residual']}",
         ]
 
     inputs = {"pattern": args.pattern, "horizon": args.horizon}
-    results = {"rows": rows, "residual": residual.fraction_str()}
+    results = {"rows": rows, "residual": residual}
     return _Record(inputs, results, header, rows, text, EXIT_OK)
 
 
@@ -412,15 +420,36 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift Python's limit on int <-> str digits, and restore it on exit.
+
+    Exact answers can be far longer than the default 4300 digits.  Pythons
+    older than the limit have neither function and need nothing lifted.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv=None) -> int:
+    # Arguments are parsed under the digit limit, which guards against huge
+    # numerals typed in; only the exact work and its output run without it.
     args = _build_parser().parse_args(argv)
     try:
-        record = _COMMANDS[args.command](args)
-        text = _render(args.command, args.format, record)
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            args.output.write_text(text, encoding="utf-8")
+        with _no_int_digit_limit():
+            record = _COMMANDS[args.command](args)
+            text = _render(args.command, args.format, record)
+            if args.output is None:
+                sys.stdout.write(text)
+            else:
+                args.output.write_text(text, encoding="utf-8")
     except SimulationRunawayError as exc:
         print(f"internal guard tripped: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_GUARD

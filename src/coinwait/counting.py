@@ -112,13 +112,14 @@ def _advance(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
     sigma = list(counts.sigma)
     tau = list(counts.tau)
     for n in range(counts.horizon + 1, horizon + 1):
+        twice = sigma[n - 1] << 1
         if n < m:
-            s = 1 << n
+            s = twice  # 2**n: nothing completes before toss m
         else:
-            s = 2 * sigma[n - 1] - sigma[n - m] - sum(
-                sigma[n - i] - 2 * sigma[n - 1 - i] for i in shifts
-            )
-        tau.append(2 * sigma[n - 1] - s)
+            s = twice - sigma[n - m]
+            for i in shifts:
+                s -= sigma[n - i] - (sigma[n - 1 - i] << 1)
+        tau.append(twice - s)
         sigma.append(s)
     return OccurrenceCounts(p, horizon, tuple(sigma), tuple(tau))
 
@@ -213,8 +214,9 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
 
     (a) doubling:     2 * sigma_{n-1} == sigma_n + tau_n         (1 <= n <= N)
     (b) expansion:    sigma_n == sum_j c_j * tau_{j+n}           (0 <= n <= N-m)
-    (c) telescoping:  sum_{n<=q} tau_n / 2**n == 1 - sigma_q / 2**q
-                      as canonical dyadics, at every q from m to N.
+    (c) telescoping:  sum_{m<=n<=q} tau_n / 2**n == 1 - sigma_q / 2**q
+                      at every q from m to N, checked exactly in integers
+                      as sum_{m<=n<=q} tau_n * 2**(q-n) == 2**q - sigma_q.
 
     The engine reads tau off (a), so (a) holds by construction and (c)
     follows from it.  (b) is the engine's recurrence rearranged, checked
@@ -244,11 +246,13 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
         if sigma[n] != sum(c * tau[j + n] for j, c in enumerate(coeffs, start=1))
     )
 
+    # (c) times 2**q, so it is checked in integers: mass is
+    # sum_{m<=n<=q} tau_n * 2**(q-n), built by Horner.
     telescoping = []
-    mass = DyadicRational(0)
+    mass = 0
     for q in range(m, horizon + 1):
-        mass = mass + DyadicRational(tau[q], q)
-        if mass != DyadicRational(1) - DyadicRational(sigma[q], q):
+        mass = 2 * mass + tau[q]
+        if mass != (1 << q) - sigma[q]:
             telescoping.append(q)
 
     return IdentityReport(

@@ -1,17 +1,53 @@
-"""Exact dyadic rationals k / 2**e.
+"""Exact dyadic rationals k / 2**e, and their exact decimal rendering.
 
 Every probability attached to a fair coin is dyadic, so this tiny type is
 all the arithmetic the counting engine needs: exact addition, subtraction
 and comparison, with no floating point anywhere.  Values are kept in the
 canonical form where the numerator is odd (or zero) whenever the exponent
 can still be reduced, so equal values always have equal field tuples.
+
+A dyadic always has a terminating decimal expansion, k / 2**e =
+k * 5**e / 10**e, and this module owns the one rule that writes it out:
+form the exact k * 5**e in base 10, shift the point e places, drop the
+trailing zeros and print it in plain notation (decimal_text).  All of it
+runs in EXACT_DECIMAL, a decimal context with unbounded precision and
+exponent range in which Inexact and Rounded are trapped, so a step that
+would lose a digit raises instead of rounding.  Rendering this way never
+converts a big int to a string, which Python does in quadratic time and
+refuses past its int_max_str_digits limit.
 """
 
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["DyadicRational"]
+__all__ = ["DyadicRational", "EXACT_DECIMAL", "decimal_text"]
+
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
+def decimal_text(scaled: Decimal, exponent: int) -> str:
+    """Write scaled / 10**exponent exactly, with no trailing zeros.
+
+    For the dyadic k / 2**e, pass scaled = k * 5**e and exponent = e; the
+    text is then the dyadic's full decimal expansion ("0.3125", "41", "0"),
+    never in exponent notation.
+    """
+    shifted = scaled.scaleb(-exponent, EXACT_DECIMAL)
+    return format(shifted.normalize(EXACT_DECIMAL), "f")
 
 
 class DyadicRational:
@@ -129,13 +165,9 @@ class DyadicRational:
 
     def decimal_str(self) -> str:
         """Exact terminating decimal expansion (dyadics always have one)."""
-        if self.exponent == 0:
-            return str(self.numerator)
-        # k / 2**e == k * 5**e / 10**e: shift the decimal point e places.
-        digits = str(abs(self.numerator) * 5 ** self.exponent)
-        digits = digits.rjust(self.exponent + 1, "0")
-        sign = "-" if self.numerator < 0 else ""
-        return f"{sign}{digits[:-self.exponent]}.{digits[-self.exponent:]}"
+        five_power = EXACT_DECIMAL.power(5, self.exponent)
+        scaled = EXACT_DECIMAL.multiply(self.numerator, five_power)
+        return decimal_text(scaled, self.exponent)
 
     def __str__(self) -> str:
         return self.fraction_str()

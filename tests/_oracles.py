@@ -72,6 +72,24 @@ def conditioned_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[i
     return sigma, tau
 
 
+def reference_decimal(numerator: int, exponent: int) -> str:
+    """Exact decimal text of numerator / 2**exponent, by plain string work.
+
+    Reduces to an odd numerator (or zero) first, writes out
+    |numerator| * 5**exponent with str() and puts the point exponent digits
+    from the right.  str() of a big int is bounded by Python's
+    int_max_str_digits limit, so keep the digit count below it.
+    """
+    while exponent > 0 and numerator % 2 == 0:
+        numerator //= 2
+        exponent -= 1
+    if exponent == 0:
+        return str(numerator)
+    digits = str(abs(numerator) * 5**exponent).rjust(exponent + 1, "0")
+    sign = "-" if numerator < 0 else ""
+    return f"{sign}{digits[:-exponent]}.{digits[-exponent:]}"
+
+
 def operational_correlation(pattern: str) -> tuple[int, ...]:
     """Overlap coefficients extracted the roundabout way.
 

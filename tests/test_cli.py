@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +21,8 @@ from coinwait import (
 )
 from coinwait import cli, counting
 from coinwait.cli import main
+
+from _oracles import conditioned_sigma_tau, reference_decimal
 
 
 def run(argv, capsys):
@@ -188,6 +193,65 @@ def test_dist_json_residual_is_exact(capsys):
     ).fraction_str()
     masses = [float(r["decimal"]) for r in doc["results"]["rows"]]
     assert abs(sum(masses) + counts.sigma[20] / 2**20 - 1.0) < 1e-12
+
+
+def test_dist_far_decimals_match_reference_renderer(capsys):
+    code, out, _ = run(["dist", "10101", "--horizon", "600", "--format", "json"], capsys)
+    assert code == 0
+    sigma, tau = conditioned_sigma_tau("10101", 600)
+    rows = json.loads(out)["results"]["rows"]
+    assert [row["n"] for row in rows] == list(range(5, 601))
+    for row in rows:
+        n = row["n"]
+        assert row["decimal"] == reference_decimal(tau[n], n)
+        assert row["cumulative"] == reference_decimal(2**n - sigma[n], n)
+        assert row["residual"] == reference_decimal(sigma[n], n)
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4300-digit limit on int <-> str, set for one test.
+
+    Yields None on a Python that has no such limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_dist_writes_counts_past_the_int_digit_limit(capsys, default_digit_limit):
+    # The cumulative column at n = 4400 has 4400 digits, past the limit.
+    code, out, err = run(["dist", "11", "--horizon", "4400", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert _int_digit_limit() == default_digit_limit
+    last = json.loads(out)["results"]["rows"][-1]
+    sigma, _ = conditioned_sigma_tau("11", 4400)
+    k, e = sigma[4400], 4400
+    # k * 5**e has under 4300 digits, so the reference can write it out.
+    assert last["residual"] == reference_decimal(k, e)
+    assert Fraction(Decimal(last["cumulative"])) == 1 - Fraction(k, 2**e)
+    assert len(last["cumulative"]) == e + 2  # "0." and e digits
+
+
+def test_expect_writes_a_waiting_time_past_the_int_digit_limit(
+    capsys, default_digit_limit
+):
+    code, out, err = run(["expect", "1" * 15_000, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert _int_digit_limit() == default_digit_limit
+    # Decimal(str) is not bound by the limit; int(str) would be.
+    expected = json.loads(out)["results"]["expected_tosses"]
+    assert Decimal(expected) == 2**15_001 - 2
 
 
 def test_dist_rejects_horizon_below_length(capsys):

@@ -8,6 +8,7 @@ from coinwait import (
     DyadicRational,
     InvalidHorizonError,
     InvalidIndexError,
+    OccurrenceCounts,
     Pattern,
     closed_form_tau,
     expected_waiting_time,
@@ -20,6 +21,7 @@ from coinwait import (
     patterns_of_length,
     verify_identities,
 )
+from coinwait import counting
 
 from _oracles import (
     automaton_sigma_tau,
@@ -244,6 +246,25 @@ def test_identities_hold_for_canonical_patterns(length):
 def test_verify_identities_needs_room():
     with pytest.raises(InvalidHorizonError):
         verify_identities(parse_pattern("1101"), 7)
+
+
+@pytest.mark.parametrize("index", [5, 17, 40])
+def test_telescoping_check_flags_what_the_dyadic_balance_flags(index, monkeypatch):
+    p = parse_pattern("10101")
+    true = occurrence_counts(p, 40)
+    tau = list(true.tau)
+    tau[index] += 1
+    broken = OccurrenceCounts(p, 40, true.sigma, tuple(tau))
+    monkeypatch.setattr(counting, "occurrence_counts", lambda pattern, horizon: broken)
+    # The balance as exact dyadics, sum_{5<=n<=q} tau_n / 2**n == 1 - sigma_q / 2**q.
+    expected = []
+    mass = DyadicRational(0)
+    for q in range(5, 41):
+        mass = mass + DyadicRational(tau[q], q)
+        if mass != DyadicRational(1) - DyadicRational(true.sigma[q], q):
+            expected.append(q)
+    assert expected == list(range(index, 41))
+    assert verify_identities(p, 40).telescoping_failures == tuple(expected)
 
 
 def test_identity_report_failure_bookkeeping():

@@ -1,5 +1,7 @@
 """Exact dyadic rational arithmetic, checked against fractions.Fraction."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coinwait import DyadicRational
+from coinwait.dyadic import EXACT_DECIMAL
 
-dyadics = st.builds(
-    DyadicRational,
-    st.integers(min_value=-(10**12), max_value=10**12),
-    st.integers(min_value=0, max_value=80),
+from _oracles import reference_decimal
+
+numerators = st.integers(min_value=-(10**12), max_value=10**12)
+dyadics = st.builds(DyadicRational, numerators, st.integers(min_value=0, max_value=80))
+# Far exponents: k * 5**e then runs to about 14,000 digits, past the 4300
+# that Python's int <-> str conversion allows by default.
+far_dyadics = st.builds(
+    DyadicRational, numerators, st.integers(min_value=0, max_value=20_000)
 )
 
 
@@ -85,9 +92,22 @@ def test_hash_agrees_with_equal_ints():
     assert len({DyadicRational(1, 2), DyadicRational(2, 3)}) == 1
 
 
-@given(dyadics)
+@given(far_dyadics)
 def test_decimal_string_is_exact(d):
-    assert Fraction(d.decimal_str()) == d.as_fraction()
+    # Fraction(str) would go through int(str) and trip the digit limit.
+    text = d.decimal_str()
+    assert "E" not in text
+    assert Fraction(Decimal(text)) == d.as_fraction()
+
+
+@given(numerators, st.integers(min_value=0, max_value=1000))
+def test_decimal_string_matches_reference_renderer(k, e):
+    assert DyadicRational(k, e).decimal_str() == reference_decimal(k, e)
+
+
+def test_exact_context_refuses_to_round():
+    with pytest.raises(decimal.Inexact):
+        EXACT_DECIMAL.quantize(Decimal("0.125"), Decimal("0.01"))
 
 
 def test_rendering():
