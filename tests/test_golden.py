@@ -21,8 +21,8 @@ from unittest import mock
 
 import pytest
 
-from coinwait import IdentityReport, correlation_set, occurrence_counts
-from coinwait import cli
+from coinwait import CorrelationSet, IdentityReport, correlation_set, occurrence_counts
+from coinwait import cli, counting
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +43,9 @@ COMMANDS = [
     ("verify-1-3", ["verify", "--lengths", "1..3", "--horizon", "8", "--oracle-n", "3"]),
     # verify with an identity check that always reports a failure (exit 2)
     ("verify-broken", ["verify", "--lengths", "2..2", "--horizon", "16", "--oracle-n", "4"]),
+    # verify with an engine that sees no proper overlaps: only the tally can
+    # tell, and it does for 101, 111, 1010 and 1111 (exit 2)
+    ("verify-no-overlaps", ["verify", "--lengths", "3..4", "--horizon", "8", "--oracle-n", "6"]),
 ]
 
 # (name, argv); usage errors print nothing to stdout, so text format only.
@@ -80,6 +83,10 @@ def _always_broken(p, horizon):
     )
 
 
+def _full_overlap_only(p):
+    return CorrelationSet((0,) * (len(p) - 1) + (1,))
+
+
 def run_case(case: str) -> tuple[int, str, str]:
     """Run one case and return (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -88,6 +95,10 @@ def run_case(case: str) -> tuple[int, str, str]:
         stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
         if case.startswith("verify-broken."):
             stack.enter_context(mock.patch.object(cli, "verify_identities", _always_broken))
+        if case.startswith("verify-no-overlaps."):
+            stack.enter_context(
+                mock.patch.object(counting, "correlation_set", _full_overlap_only)
+            )
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:
