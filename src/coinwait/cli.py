@@ -23,7 +23,6 @@ import io
 import json
 import sys
 from collections import namedtuple
-from dataclasses import asdict
 from pathlib import Path
 
 from .counting import extend_counts, occurrence_counts, verify_identities
@@ -33,7 +32,7 @@ from .oracle import exhaustive_tally, simulate
 from .pattern import (
     expected_waiting_time, parse_pattern, patterns_of_length, waiting_time_report
 )
-from .table import waiting_time_table
+from .table import TableRow, waiting_time_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -254,7 +253,7 @@ def _cmd_table(args) -> _Record:
             f"lengths must satisfy 2 <= min <= max <= {args.cap}, got {lo}..{hi}"
         )
     rows = waiting_time_table(range(lo, hi + 1), include_complements=args.all_patterns)
-    results = [asdict(row) for row in rows]
+    results = [{k: getattr(row, k) for k in TableRow.__slots__} for row in rows]
     flat = [{**row, "pattern": p} for row in results for p in row["patterns"]]
 
     def text():
@@ -314,8 +313,6 @@ def _cmd_dist(args) -> _Record:
 
 def _cmd_simulate(args) -> _Record:
     p = parse_pattern(args.pattern)
-    if args.trials < 1:
-        raise CoinwaitError(f"trials must be >= 1, got {args.trials}")
     result = simulate(p, args.trials, args.seed)
     exact = expected_waiting_time(p)
     spread = result.sample_stderr
@@ -353,13 +350,17 @@ def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
     report = verify_identities(pattern, horizon)
     n_top = max(m, oracle_n)
     counts = extend_counts(report.counts, max(horizon, n_top))
+    # One tally at n_top serves every n: tau_j does not depend on n, and the
+    # brute-force sigma_n = 2 sigma_{n-1} - tau_n from sigma_{m-1} = 2**(m-1).
+    tau = exhaustive_tally(pattern, n_top).first_occurrence_counts
+    sigma = 1 << (m - 1)
     oracle_failures = []
     for n in range(m, n_top + 1):
-        tally = exhaustive_tally(pattern, n)
-        if tally.avoiding_count != counts.sigma[n]:
+        sigma = 2 * sigma - tau[n]
+        if sigma != counts.sigma[n]:
             oracle_failures.append(f"sigma at n={n}")
         for j in range(m, n + 1):
-            if tally.first_occurrence_counts[j] != counts.tau[j]:
+            if tau[j] != counts.tau[j]:
                 oracle_failures.append(f"tau at j={j} (n={n})")
     failures = (
         [f"doubling at n={n}" for n in report.doubling_failures]

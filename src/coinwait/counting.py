@@ -213,15 +213,16 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
     """Check the three exact identities tying sigma, tau and the overlaps.
 
     (a) doubling:     2 * sigma_{n-1} == sigma_n + tau_n         (1 <= n <= N)
-    (b) expansion:    sigma_n == sum_j c_j * tau_{j+n}           (0 <= n <= N-m)
+    (b) expansion:    sigma_n == sum_{j: c_j=1} tau_{j+n}        (0 <= n <= N-m)
     (c) telescoping:  sum_{m<=n<=q} tau_n / 2**n == 1 - sigma_q / 2**q
                       at every q from m to N, checked exactly in integers
                       as sum_{m<=n<=q} tau_n * 2**(q-n) == 2**q - sigma_q.
 
     The engine reads tau off (a), so (a) holds by construction and (c)
     follows from it.  (b) is the engine's recurrence rearranged, checked
-    against the coefficients rather than the shifts.  The independent
-    evidence is the exhaustive tally, which `coinwait verify` also runs.
+    against the overlap lengths rather than the shifts.  The independent
+    evidence is the exhaustive tally, which `coinwait verify` runs once per
+    pattern, reading sigma_n at each smaller n off it by the doubling identity.
 
     Failures land in the report rather than raising; they indicate a bug,
     since all three are theorems.
@@ -239,11 +240,11 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
         n for n in range(1, horizon + 1) if 2 * sigma[n - 1] != sigma[n] + tau[n]
     )
 
-    coeffs = corr.coefficients
+    overlaps = corr.overlap_lengths()
     expansion = tuple(
         n
         for n in range(0, horizon - m + 1)
-        if sigma[n] != sum(c * tau[j + n] for j, c in enumerate(coeffs, start=1))
+        if sigma[n] != sum(tau[j + n] for j in overlaps)
     )
 
     # (c) times 2**q, so it is checked in integers: mass is

@@ -13,6 +13,9 @@ each hit's position over the previous one, so the earliest completion is
 the one left standing.  Its arrays are one chunk long whatever n is
 (about 0.6 MB, plus bincount's 0.5 MB of indices while a chunk is
 histogrammed), so the time grows with 2**n but the memory does not.
+One tally at N serves every n from m to N: tau_j does not depend on n, and
+an avoiding string either still avoids after one more toss or completes the
+pattern on it, so the avoiding counts are sigma_n = 2 sigma_{n-1} - tau_n.
 
 The simulator reads one toss stream S from its seeded PCG64 generator: the
 top bit of each successive 32-bit draw, which is what
@@ -71,14 +74,6 @@ _FALSE_TRIP = 1e-12
 _MAX_TRIALS = 10**7
 
 
-def _pattern_window_value(p: Pattern) -> int:
-    # First toss in the window is the most significant bit.
-    value = 0
-    for b in p.bits:
-        value = (value << 1) | b
-    return value
-
-
 @dataclass(frozen=True, slots=True)
 class ExhaustiveTally:
     """Complete classification of all 2**n strings of length n.
@@ -126,7 +121,7 @@ def exhaustive_tally(
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the enumeration ceiling {limit}")
 
-    pval = np.uint32(_pattern_window_value(p))
+    pval = np.uint32(int(str(p), 2))
     mask = np.uint32((1 << m) - 1)
     c = min(n, _TALLY_CHUNK_BITS)
     strings = np.arange(1 << c, dtype=np.uint32)  # the first chunk
@@ -191,10 +186,13 @@ def simulate(
     tosses spells the pattern with probability 2**-m, so a game outlasts
     the cap with probability at most (1 - 2**-m)**k, and all `trials`
     games together with at most 1e-12.  The cap uses no engine value.
-    More than 10**7 trials raise TooLargeError before anything is allocated.
+    Fewer than 1 trial or a negative seed raise ValueError; more than 10**7
+    trials raise TooLargeError before anything is allocated.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if trials > _MAX_TRIALS:
         raise TooLargeError(
             f"trials={trials} exceeds the simulation ceiling {_MAX_TRIALS}"
@@ -244,7 +242,7 @@ def _play(
     first toss most significant, aligned with alive.
     """
     m = len(p)
-    pval = np.uint64(_pattern_window_value(p))
+    pval = np.uint64(int(str(p), 2))
     mask = np.uint64((1 << m) - 1)
     one = np.uint64(1)
     alive = np.arange(lengths.size, dtype=np.int64)

@@ -289,6 +289,11 @@ def test_simulate_rejects_bad_trials(capsys):
     assert run(["simulate", "11", "--trials", "0"], capsys)[0] == 1
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    code, out, err = run(["simulate", "11", "--seed", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_simulate_refuses_too_many_trials(capsys):
     code, out, err = run(["simulate", "110", "--trials", "100000000"], capsys)
     assert code == 1
@@ -366,6 +371,30 @@ def test_verify_catches_a_wrong_overlap_set(capsys, monkeypatch):
     rows = {r["pattern"]: r for r in json.loads(out)["results"]["patterns"]}
     assert rows["10101"]["oracle_ok"] is False
     assert [p for p, r in rows.items() if not r["oracle_ok"]] == ["10101"]
+
+
+def test_verify_tallies_each_pattern_once_at_its_top_n(capsys, monkeypatch):
+    calls = []
+
+    def counted(p, n):
+        calls.append((len(p), n))
+        return tally(p, n)
+
+    tally = cli.exhaustive_tally
+    monkeypatch.setattr(cli, "exhaustive_tally", counted)
+    code, out, _ = run(["verify", "--lengths", "2..8"], capsys)
+    assert code == 0
+    assert "all identities hold" in out
+    assert len(calls) == 254  # the canonical patterns of lengths 2..8
+    assert all(n == max(m, 10) for m, n in calls)
+
+
+def test_verify_refuses_an_oracle_n_above_the_ceiling_before_enumerating(capsys):
+    code, out, err = run(
+        ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", "40"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: n=40 exceeds the enumeration ceiling 24\n"
 
 
 def test_verify_rejects_small_horizon(capsys):

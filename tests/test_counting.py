@@ -264,7 +264,17 @@ def test_telescoping_check_flags_what_the_dyadic_balance_flags(index, monkeypatc
         if mass != DyadicRational(1) - DyadicRational(true.sigma[q], q):
             expected.append(q)
     assert expected == list(range(index, 41))
-    assert verify_identities(p, 40).telescoping_failures == tuple(expected)
+    report = verify_identities(p, 40)
+    assert report.telescoping_failures == tuple(expected)
+    # The expansion sigma_n == sum of tau_{j+n} over the overlap lengths j,
+    # the j whose prefix and suffix of the pattern are equal as strings.
+    text = str(p)
+    overlaps = [j for j in range(1, 6) if text[:j] == text[-j:]]
+    expansion = [
+        n for n in range(0, 36) if true.sigma[n] != sum(tau[j + n] for j in overlaps)
+    ]
+    assert expansion == [index - j for j in reversed(overlaps) if 0 <= index - j <= 35]
+    assert report.expansion_failures == tuple(expansion)
 
 
 def test_identity_report_failure_bookkeeping():

@@ -150,6 +150,8 @@ def test_single_trial_has_no_spread():
 def test_simulate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         simulate(parse_pattern("11"), 0, 1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        simulate(parse_pattern("11"), 10, -1)
     with pytest.raises(TooLargeError):
         simulate(Pattern((1,) * 65), 10, 1)
 
