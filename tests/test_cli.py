@@ -375,12 +375,12 @@ def test_verify_catches_a_wrong_overlap_set(capsys, monkeypatch):
 
 def test_verify_tallies_each_pattern_once_at_its_top_n(capsys, monkeypatch):
     calls = []
+    tally = cli.exhaustive_tally
 
     def counted(p, n):
         calls.append((len(p), n))
         return tally(p, n)
 
-    tally = cli.exhaustive_tally
     monkeypatch.setattr(cli, "exhaustive_tally", counted)
     code, out, _ = run(["verify", "--lengths", "2..8"], capsys)
     assert code == 0
