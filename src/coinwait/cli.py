@@ -390,6 +390,8 @@ def _cmd_verify(args) -> _Record:
             f"horizon must be >= twice the largest length ({2 * hi}),"
             f" got {args.horizon}"
         )
+    if args.oracle_n < 1:
+        raise CoinwaitError(f"oracle-n must be >= 1, got {args.oracle_n}")
     results = [
         _verify_one(p, args.horizon, args.oracle_n)
         for length in range(lo, hi + 1)
@@ -400,7 +402,8 @@ def _cmd_verify(args) -> _Record:
     def text():
         return [
             f"checked {len(results)} canonical patterns (lengths {lo}..{hi}),"
-            f" horizon {args.horizon}, enumeration up to n={args.oracle_n}",
+            f" horizon {args.horizon}, enumeration up to"
+            f" n={max(hi, args.oracle_n)}",
             *(f"FAIL {r['pattern']}: " + ", ".join(r["failures"]) for r in failed),
             "verification FAILED (see above)" if failed else "all identities hold",
         ]

@@ -8,20 +8,24 @@ the engine's sigma/tau sequences and with the closed-form means is
 therefore a genuine cross-check, not a tautology.
 
 The tally walks the 2**n strings in chunks of 2**16 consecutive integers.
-Within a chunk it scans the end positions from last to first and writes
-each hit's position over the previous one, so the earliest completion is
-the one left standing.  Its arrays are one chunk long whatever n is
-(about 0.6 MB, plus bincount's 0.5 MB of indices while a chunk is
-histogrammed), so the time grows with 2**n but the memory does not.
+A window ending at j >= n - 16 + m lies in the low 16 bits, the same in
+every chunk, so those positions are scanned once; one ending at j <= n - 16
+is one integer per chunk, and its earliest hit completes the whole chunk.
+Only the m - 1 windows straddling the two are scanned per chunk.  Scans
+run from last position to first, each hit written over the previous one,
+so the earliest completion is left standing.  The arrays are one chunk
+long whatever n is (about 1.5 MB at peak), so the time grows with 2**n
+but the memory does not.
 One tally at N serves every n from m to N: tau_j does not depend on n, and
 an avoiding string either still avoids after one more toss or completes the
 pattern on it, so the avoiding counts are sigma_n = 2 sigma_{n-1} - tau_n.
 
-The simulator reads one toss stream S from its seeded PCG64 generator: the
-top bit of each successive 32-bit draw, which is what
-``integers(0, 2, dtype=uint64)`` returns, with half-words carried across
-calls.  Games are played in rounds; in round r the live game of rank j
-among k live games gets toss S[pos_r + j], and pos_{r+1} = pos_r + k.
+The simulator reads one toss stream S from its seeded PCG64 generator:
+each raw 64-bit word gives two tosses, the top bits of its low and then
+its high 32-bit half, which is what ``integers(0, 2, dtype=uint64)``
+returns from a fresh generator.  Games are played in rounds; in round r
+the live game of rank j among k live games gets toss S[pos_r + j], and
+pos_{r+1} = pos_r + k.
 While many games are live, each round is one vectorised step.  Once
 k * m fits in a block budget, the live set stays fixed until some game
 completes, so the next B rounds are just S[pos : pos + B*k] as a B x k
@@ -70,7 +74,7 @@ _BLOCK_TOSSES = 1 << 15
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the arrays hold every game at once: about 60 B per trial at peak.
+# so the arrays hold every game at once: about 35 B per trial at peak.
 _MAX_TRIALS = 10**7
 
 
@@ -107,12 +111,12 @@ def exhaustive_tally(
     against the pattern directly; the earliest hit wins, later recurrences
     are irrelevant.  All counting is exact.  n may not exceed min(ceiling, 31).
 
-    The strings are walked in chunks of 2**min(n, 16).  In each chunk the
-    end positions are scanned from n down to m, every hit overwriting the
-    chunk's completion position, so the earliest one is written last and
-    no "completed yet" mask is needed.  Each chunk's positions are
-    histogrammed into one running count.  Memory is a few chunk-sized
-    arrays (about 1 MB at peak) for every n.
+    The strings are walked in chunks of 2**min(n, 16); the module docstring
+    gives the three groups of end positions.  Positions are scanned from
+    last to first, every hit overwriting the completion position, so the
+    earliest one is written last and no "completed yet" mask is needed.
+    Each chunk's positions are histogrammed into one running count.
+    Memory is a few chunk-sized arrays (about 1.5 MB at peak) for every n.
     """
     m = len(p)
     if n < m:
@@ -121,23 +125,34 @@ def exhaustive_tally(
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the enumeration ceiling {limit}")
 
-    pval = np.uint32(int(str(p), 2))
-    mask = np.uint32((1 << m) - 1)
+    pval = int(str(p), 2)
+    mask = (1 << m) - 1
     c = min(n, _TALLY_CHUNK_BITS)
-    strings = np.arange(1 << c, dtype=np.uint32)  # the first chunk
-    window = np.empty_like(strings)
-    hit = np.empty(strings.size, dtype=bool)
-    completion = np.empty(strings.size, dtype=np.uint8)  # 0 = no occurrence
-    raw = np.zeros(n + 1, dtype=np.int64)
-    for _ in range(1 << (n - c)):
-        completion.fill(0)
-        for j in range(n, m - 1, -1):
+    low = np.arange(1 << c, dtype=np.uint32)  # a chunk's low c bits
+    strings, window = low.copy(), np.empty_like(low)
+    hit = np.empty(low.size, dtype=bool)
+
+    def scan(positions, completion):  # later positions first, earliest hit last
+        for j in positions:
             np.right_shift(strings, np.uint32(n - j), out=window)
-            window &= mask
-            np.equal(window, pval, out=hit)
+            np.bitwise_and(window, np.uint32(mask), out=window)
+            np.equal(window, np.uint32(pval), out=hit)
             np.copyto(completion, j, where=hit)
+
+    inner = np.zeros(low.size, dtype=np.uint8)  # 0 = no occurrence
+    scan(range(n, n - c + m - 1, -1), inner)  # windows in the low bits
+    outer = range(m, n - c + 1)  # windows in the high bits
+    straddling = range(min(n, n - c + m - 1), max(m, n - c + 1) - 1, -1)
+    raw = np.zeros(n + 1, dtype=np.int64)
+    for high in range(1 << (n - c)):
+        j = next((j for j in outer if (high >> (n - c - j)) & mask == pval), 0)
+        if j:  # the whole chunk completes at its earliest outer hit
+            raw[j] += 1 << c
+            continue
+        np.add(low, np.uint32(high << c), out=strings)
+        completion = inner.copy()
+        scan(straddling, completion)
         raw += np.bincount(completion, minlength=n + 1)
-        strings += np.uint32(1 << c)  # the next chunk
 
     counts: dict[int, int] = {}
     for j in range(m, n + 1):
@@ -207,7 +222,7 @@ def simulate(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     lengths = np.zeros(trials, dtype=np.int64)
-    _play(p, lengths, rng, max_tosses)
+    _play(p, lengths, _Tosses(rng), max_tosses)
 
     mean = float(lengths.mean())
     if trials > 1:
@@ -231,40 +246,62 @@ def _runaway(max_tosses: int) -> SimulationRunawayError:
     )
 
 
+class _Tosses:
+    """The toss stream S (module docstring), drawn _BLOCK_TOSSES at a time."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._raw = rng.bit_generator.random_raw
+        self._ahead = np.empty(0, dtype=bool)  # drawn, not yet read, from `at`
+        self.at = 0  # readers advance it past the tosses they use
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k tosses, left unread."""
+        if self._ahead.size - self.at < k:
+            raw = self._raw(max(k, _BLOCK_TOSSES) // 2 + 1)
+            fresh = raw.astype("<u8", copy=False).view("<u4") >= 2**31
+            self._ahead = np.concatenate((self._ahead[self.at :], fresh))
+            self.at = 0
+        return self._ahead[self.at : self.at + k]
+
+
 def _play(
-    p: Pattern, lengths: np.ndarray, rng: np.random.Generator, max_tosses: int
+    p: Pattern, lengths: np.ndarray, stream: _Tosses, max_tosses: int
 ) -> None:
     """Fill lengths[i] with the length of game i.
 
     Rounds are single vectorised steps until every live game has m - 1
     tosses and live games x m fits in the block budget; _scan_blocks plays
     the rest.  window holds each live game's last m tosses as an integer,
-    first toss most significant, aligned with alive.
+    first toss most significant, aligned with the game numbers in alive;
+    both shrink only in rounds where some game completes.
     """
     m = len(p)
-    pval = np.uint64(int(str(p), 2))
-    mask = np.uint64((1 << m) - 1)
-    one = np.uint64(1)
-    alive = np.arange(lengths.size, dtype=np.int64)
-    window = np.zeros(lengths.size, dtype=np.uint64)
+    word = np.uint32 if m <= 32 else np.uint64
+    pval, mask = word(int(str(p), 2)), word((1 << m) - 1)
+    alive = np.arange(lengths.size, dtype=np.int32)
+    window = np.zeros(lengths.size, dtype=word)
     tosses = 0
     while alive.size * m > _BLOCK_TOSSES or tosses < m - 1:
         if tosses >= max_tosses:
             raise _runaway(max_tosses)
         tosses += 1
-        bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
-        window = ((window << one) | bits) & mask
+        window <<= 1
+        window |= stream.peek(alive.size)
+        stream.at += alive.size
+        window &= mask
         if tosses >= m:
-            keep = window != pval
-            lengths[alive[~keep]] = tosses
-            alive = alive[keep]
-            window = window[keep]
-            if not alive.size:
-                return
+            hit = window == pval
+            if hit.any():
+                lengths[alive.compress(hit)] = tosses
+                keep = np.flatnonzero(~hit)
+                if not keep.size:
+                    return
+                alive = alive.take(keep)
+                window = window.take(keep)
     # The last m - 1 tosses of each live game, oldest first, one row each.
-    ages = np.arange(m - 2, -1, -1, dtype=np.uint64)
-    history = ((window >> ages[:, None]) & one).astype(bool)
-    _scan_blocks(p.bits, history, alive, lengths, rng, tosses, max_tosses)
+    ages = np.arange(m - 2, -1, -1, dtype=word)
+    history = ((window >> ages[:, None]) & 1).astype(bool)
+    _scan_blocks(p.bits, history, alive, lengths, stream, tosses, max_tosses)
 
 
 def _scan_blocks(
@@ -272,33 +309,26 @@ def _scan_blocks(
     history: np.ndarray,
     alive: np.ndarray,
     lengths: np.ndarray,
-    rng: np.random.Generator,
+    stream: _Tosses,
     tosses: int,
     max_tosses: int,
 ) -> None:
     """Finish the live games block by block, settling one round per block.
 
-    Row q of a block holds round tosses + q + 1 for every live game.  Stacked
-    under each game's last m - 1 tosses, the game completes in that round
-    when rows q .. q + m - 1 spell the pattern: m boolean ANDs find every
-    completing (round, game) cell of the block at once.
+    Row q of a block holds round tosses + q + 1 for every live game: the
+    stream's next rounds x k tosses, peeked, not read.  Stacked under each
+    game's last m - 1 tosses, the game completes in that round when rows
+    q .. q + m - 1 spell the pattern: m boolean ANDs find every completing
+    (round, game) cell of the block at once.  Only the rounds up to the
+    first completing one are read; the rest stay in the stream.
     """
     m = len(bits)
-    stream = np.empty(0, dtype=bool)  # drawn tosses not yet read, from `at`
-    at = 0
     while alive.size:
         k = alive.size
         rounds = min(_BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
-        need = rounds * k
-        if stream.size - at < need:
-            fresh = rng.integers(
-                0, 1 << 32, size=max(need, _BLOCK_TOSSES), dtype=np.uint32
-            )
-            stream = np.concatenate((stream[at:], (fresh >> 31).astype(bool)))
-            at = 0
-        tape = np.concatenate((history, stream[at : at + need].reshape(rounds, k)))
+        tape = np.concatenate((history, stream.peek(rounds * k).reshape(rounds, k)))
         sides = (~tape, tape)
         hit = sides[bits[0]][:rounds].copy()
         for i in range(1, m):
@@ -306,12 +336,12 @@ def _scan_blocks(
         completing = hit.any(axis=1)
         if not completing.any():
             tosses += rounds
-            at += need
+            stream.at += rounds * k
             history = tape[rounds:]
             continue
         q = int(completing.argmax())
         tosses += q + 1
-        at += (q + 1) * k
+        stream.at += (q + 1) * k
         keep = ~hit[q]
         lengths[alive[hit[q]]] = tosses
         alive = alive[keep]

@@ -397,6 +397,26 @@ def test_verify_refuses_an_oracle_n_above_the_ceiling_before_enumerating(capsys)
     assert err == "error: n=40 exceeds the enumeration ceiling 24\n"
 
 
+def test_verify_rejects_an_oracle_n_below_one(capsys):
+    code, out, err = run(
+        ["verify", "--lengths", "5..5", "--horizon", "10", "--oracle-n", "-3"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: oracle-n must be >= 1, got -3\n"
+
+
+def test_verify_names_the_top_n_it_tallied(capsys):
+    # each pattern is tallied at max(m, --oracle-n); the JSON inputs still
+    # echo the value given
+    argv = ["verify", "--lengths", "4..5", "--horizon", "10", "--oracle-n", "3"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[0].endswith("enumeration up to n=5")
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["oracle_n"] == 3
+
+
 def test_verify_rejects_small_horizon(capsys):
     code, _, err = run(["verify", "--lengths", "2..6", "--horizon", "10"], capsys)
     assert code == 1

@@ -2,7 +2,9 @@
 
 import random
 import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from coinwait import (
     patterns_of_length,
     simulate,
 )
+from coinwait import oracle
 
 from _oracles import brute_sigma_tau, per_toss_simulation
 
@@ -121,7 +124,44 @@ def test_tally_agrees_with_engine_across_chunks(text):
     }
 
 
+@lru_cache(maxsize=None)
+def _brute_to_12(text):
+    return brute_sigma_tau(text, 12)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 5, 8])
+def test_tally_position_groups_at_small_chunks(monkeypatch, chunk_bits):
+    # with c-bit chunks, windows ending at j >= n - c + m are scanned once,
+    # those ending at j <= n - c are one integer per chunk (whenever
+    # n - c >= m), and the m - 1 in between are scanned per chunk
+    monkeypatch.setattr(oracle, "_TALLY_CHUNK_BITS", chunk_bits)
+    outer_cases = 0
+    for length in range(1, 6):
+        for p in patterns_of_length(length, canonical=False):
+            sigma, tau = _brute_to_12(str(p))
+            for n in range(length, 13):
+                outer_cases += n - chunk_bits >= length
+                tally = exhaustive_tally(p, n)
+                assert tally.avoiding_count == sigma[n]
+                assert tally.first_occurrence_counts == {
+                    j: tau[j] for j in range(length, n + 1)
+                }
+    assert outer_cases
+
+
 # -- simulation --------------------------------------------------------
+
+
+def test_toss_stream_is_the_integers_stream():
+    # two tosses per raw word, low half first: the bits integers(0, 2)
+    # gives from the same seed, also across reads that split a word
+    stream = oracle._Tosses(np.random.Generator(np.random.PCG64(2026)))
+    reference = np.random.Generator(np.random.PCG64(2026))
+    for k in (1, 7, 2**15 + 3, 5):
+        expected = reference.integers(0, 2, size=k, dtype=np.uint64)
+        assert np.array_equal(stream.peek(k), expected.astype(bool))
+        assert np.array_equal(stream.peek(k), expected.astype(bool))  # unread
+        stream.at += k
 
 
 def test_simulation_is_deterministic():
@@ -154,6 +194,19 @@ def test_simulate_rejects_bad_inputs():
         simulate(parse_pattern("11"), 10, -1)
     with pytest.raises(TooLargeError):
         simulate(Pattern((1,) * 65), 10, 1)
+
+
+@pytest.mark.parametrize("text, trials", [("110", 10**6), ("111111", 2 * 10**5)])
+def test_simulate_memory_per_trial(text, trials):
+    # lengths (8 B), ranks and windows (4 B each), the toss stream and one
+    # round's compaction: about 31-35 B per game at peak
+    tracemalloc.start()
+    try:
+        simulate(parse_pattern(text), trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * trials
 
 
 def test_runaway_guard_trips():
