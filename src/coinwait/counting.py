@@ -222,7 +222,7 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
     follows from it.  (b) is the engine's recurrence rearranged, checked
     against the overlap lengths rather than the shifts.  The independent
     evidence is the exhaustive tally, which `coinwait verify` runs once per
-    pattern, reading sigma_n at each smaller n off it by the doubling identity.
+    pattern: every tau_n up to its n, and sigma at that n, are compared once.
 
     Failures land in the report rather than raising; they indicate a bug,
     since all three are theorems.

@@ -15,10 +15,8 @@ Only the m - 1 windows straddling the two are scanned per chunk.  Scans
 run from last position to first, each hit written over the previous one,
 so the earliest completion is left standing.  The arrays are one chunk
 long whatever n is (about 1.5 MB at peak), so the time grows with 2**n
-but the memory does not.
-One tally at N serves every n from m to N: tau_j does not depend on n, and
-an avoiding string either still avoids after one more toss or completes the
-pattern on it, so the avoiding counts are sigma_n = 2 sigma_{n-1} - tau_n.
+but the memory does not.  tau_j does not depend on n, so one tally at N
+gives every tau_j with j <= N, and its avoiding count is sigma_N.
 
 The simulator reads one toss stream S from its seeded PCG64 generator:
 each raw 64-bit word gives two tosses, the top bits of its low and then
@@ -53,11 +51,9 @@ __all__ = [
 ]
 
 # 2**24 strings is plenty for cross-checks and tallies in about a third of
-# a second.  The ceiling bounds time only: the tally's memory is fixed.
+# a second.  The ceiling bounds time only: the tally's memory is fixed.  It
+# must stay <= 31, because strings are enumerated as uint32 words.
 DEFAULT_ENUMERATION_CEILING = 24
-
-# Strings are enumerated as uint32 words, so no ceiling can admit 32 tosses.
-_MAX_ENUMERATION_BITS = 31
 
 # Strings are tallied 2**16 at a time: large enough that each numpy step
 # outweighs its call overhead, small enough that the arrays stay near 1 MB.
@@ -101,15 +97,13 @@ class ExhaustiveTally:
         return weighted + self.avoiding_count
 
 
-def exhaustive_tally(
-    p: Pattern, n: int, *, ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> ExhaustiveTally:
+def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     """Classify every length-n string by where the pattern first completes.
 
     Strings are the integers 0..2**n - 1 with the most significant bit as
     the first toss.  For each end position j the m-bit window is compared
     against the pattern directly; the earliest hit wins, later recurrences
-    are irrelevant.  All counting is exact.  n may not exceed min(ceiling, 31).
+    are irrelevant.  All counting is exact.  n may not exceed 24.
 
     The strings are walked in chunks of 2**min(n, 16); the module docstring
     gives the three groups of end positions.  Positions are scanned from
@@ -121,9 +115,10 @@ def exhaustive_tally(
     m = len(p)
     if n < m:
         raise InvalidHorizonError(f"n must be >= pattern length {m}, got {n}")
-    limit = min(ceiling, _MAX_ENUMERATION_BITS)
-    if n > limit:
-        raise TooLargeError(f"n={n} exceeds the enumeration ceiling {limit}")
+    if n > DEFAULT_ENUMERATION_CEILING:
+        raise TooLargeError(
+            f"n={n} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}"
+        )
 
     pval = int(str(p), 2)
     mask = (1 << m) - 1

@@ -373,6 +373,28 @@ def test_verify_catches_a_wrong_overlap_set(capsys, monkeypatch):
     assert [p for p, r in rows.items() if not r["oracle_ok"]] == ["10101"]
 
 
+def test_verify_flags_a_dropped_border_only_within_the_tally(capsys, monkeypatch):
+    # an engine blind to every proper overlap first goes wrong at
+    # n = 2m - b, b the longest proper border; verify's tally reaches
+    # max(m, 10), so bordered patterns past that go unflagged
+    def full_length_only(p):
+        return CorrelationSet((0,) * (len(p) - 1) + (1,))
+
+    monkeypatch.setattr(counting, "correlation_set", full_length_only)
+    code, out, _ = run(["verify", "--lengths", "2..8", "--format", "json"], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    flagged, missed = set(), set()
+    for row in json.loads(out)["results"]["patterns"]:
+        s, m = row["pattern"], row["length"]
+        b = max(k for k in range(m) if s[:k] == s[m - k :])
+        if b and 2 * m - b <= max(m, 10):
+            flagged.add(s)
+        elif b:
+            missed.add(s)
+        assert row["oracle_ok"] is (s not in flagged)
+    assert (len(flagged), len(missed)) == (36, 139)
+
+
 def test_verify_tallies_each_pattern_once_at_its_top_n(capsys, monkeypatch):
     calls = []
     tally = cli.exhaustive_tally
