@@ -350,9 +350,9 @@ def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
     report = verify_identities(pattern, horizon)
     n_top = max(m, oracle_n)
     counts = extend_counts(report.counts, max(horizon, n_top))
-    # One tally at n_top, each count compared once.  The engine reads tau
-    # off the doubling identity from sigma_{m-1} = 2**(m-1), so its sigma_n
-    # below n_top is fixed by the taus compared here.
+    # One tally at n_top, each count compared once.  The engine's sigma
+    # follows by doubling from sigma_{m-1} = 2**(m-1) and its taus, so its
+    # sigma_n below n_top is fixed by the taus compared here.
     tally = exhaustive_tally(pattern, n_top)
     oracle_failures = [
         f"tau at n={n}"

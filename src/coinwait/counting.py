@@ -7,21 +7,18 @@ Two integer sequences carry the whole story for a pattern of length m:
            the right-hand end (the game ends on toss n).
 
 Both follow from the self-overlaps alone (Guibas & Odlyzko, "String
-overlaps, pattern matching, and nontransitive games", JCTA 30, 1981).  With
-c(z) the autocorrelation polynomial, the avoiding strings have generating
-function S(z) = c(z) / (z**m + (1 - 2z) c(z)).  Clearing the denominator
-gives a sparse integer recurrence over the overlap shifts
-I = {m - j : c_j = 1, j < m}:
+overlaps, pattern matching, and nontransitive games", JCTA 30, 1981):
 
-    sigma_n = 2**n                                           (n < m)
-    sigma_n = 2 sigma_{n-1} - sigma_{n-m}
-              - sum_{i in I} (sigma_{n-i} - 2 sigma_{n-1-i})  (n >= m)
+    2 sigma_{n-1} = sigma_n + tau_n                  (doubling)
+    sigma_k = sum_{j: c_j = 1} tau_{k+j}             (expansion)
 
-Appending one toss to every avoiding string either keeps it avoiding or
-finishes its game, so 2 * sigma_{n-1} = sigma_n + tau_n (the doubling
-identity), and the engine reads tau off it.  The overlaps also give
-sigma_n = sum_j c_j * tau_{j+n}, and telescoping the doubling identity
-gives an exact dyadic mass balance; verify_identities checks all three.
+A toss appended to an avoiding string keeps it avoiding or ends its game.
+The pattern appended to an avoiding string of length k ends its game at
+k + j for one overlap length j, and each such game arises once.  The engine
+is the two identities: tau_n = 0 for n < m, the expansion at k = n - m
+gives tau_n = sigma_{n-m} - sum_{j < m: c_j = 1} tau_{n-m+j} for n >= m,
+and doubling gives sigma_n.  Telescoping the doubling identity gives an
+exact dyadic mass balance; verify_identities checks all three.
 
 Everything here is integer arithmetic on Python ints, so counts of any
 size stay exact; there is no overflow to guard against.
@@ -66,8 +63,8 @@ def fibonacci(n: int) -> int:
 class OccurrenceCounts:
     """Exact sigma/tau sequences for one pattern up to a horizon.
 
-    The recurrence looks back at most m terms of sigma, so the sequences
-    themselves are all the state needed to resume it (see extend_counts).
+    The engine looks back at most m terms, so the sequences themselves
+    are all the state needed to resume it (see extend_counts).
     """
 
     pattern: Pattern
@@ -79,8 +76,8 @@ class OccurrenceCounts:
 def occurrence_counts(p: Pattern, horizon: int) -> OccurrenceCounts:
     """Count avoiding strings and first completions for lengths 0..horizon.
 
-    sigma_0 = 1 (the empty string) and tau_0 = 0; each later sigma_n comes
-    from the overlap recurrence and tau_n from the doubling identity.
+    sigma_0 = 1 (the empty string) and tau_0 = 0; each later tau_n comes
+    from the overlap expansion and sigma_n from the doubling identity.
 
     >>> counts = occurrence_counts(Pattern((1, 1)), 9)
     >>> counts.sigma == tuple(fibonacci(n + 2) for n in range(10))
@@ -107,20 +104,17 @@ def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
 def _advance(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
     p = counts.pattern
     m = len(p)
-    # The shifts I of the proper overlaps; the full one is the sigma_{n-m} term.
-    shifts = [m - j for j in correlation_set(p).overlap_lengths()[:-1]]
+    proper = correlation_set(p).overlap_lengths()[:-1]
     sigma = list(counts.sigma)
     tau = list(counts.tau)
     for n in range(counts.horizon + 1, horizon + 1):
-        twice = sigma[n - 1] << 1
-        if n < m:
-            s = twice  # 2**n: nothing completes before toss m
-        else:
-            s = twice - sigma[n - m]
-            for i in shifts:
-                s -= sigma[n - i] - (sigma[n - 1 - i] << 1)
-        tau.append(twice - s)
-        sigma.append(s)
+        t = 0
+        if n >= m:  # the expansion at n - m
+            t = sigma[n - m]
+            for j in proper:
+                t -= tau[n - m + j]
+        tau.append(t)
+        sigma.append((sigma[n - 1] << 1) - t)
     return OccurrenceCounts(p, horizon, tuple(sigma), tuple(tau))
 
 
@@ -218,11 +212,11 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
                       at every q from m to N, checked exactly in integers
                       as sum_{m<=n<=q} tau_n * 2**(q-n) == 2**q - sigma_q.
 
-    The engine reads tau off (a), so (a) holds by construction and (c)
-    follows from it.  (b) is the engine's recurrence rearranged, checked
-    against the overlap lengths rather than the shifts.  The independent
-    evidence is the exhaustive tally, which `coinwait verify` runs once per
-    pattern: every tau_n up to its n, and sigma at that n, are compared once.
+    The engine computes tau from (b) and sigma from (a), so both hold by
+    construction and (c) follows from (a): they check the arithmetic, not
+    the overlap set.  The independent evidence is the exhaustive tally,
+    which `coinwait verify` runs once per pattern: every tau_n up to its n,
+    and sigma at that n, are compared once.
 
     Failures land in the report rather than raising; they indicate a bug,
     since all three are theorems.

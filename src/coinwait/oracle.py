@@ -50,10 +50,10 @@ __all__ = [
     "simulate",
 ]
 
-# 2**24 strings is plenty for cross-checks and tallies in about a third of
-# a second.  The ceiling bounds time only: the tally's memory is fixed.  It
-# must stay <= 31, because strings are enumerated as uint32 words.
-DEFAULT_ENUMERATION_CEILING = 24
+# 2**24 strings is plenty for cross-checks and tallies in about 0.14 s.
+# The ceiling bounds time only: the tally's memory is fixed.  It must stay
+# <= 31, because strings are enumerated as uint32 words.
+ENUMERATION_CEILING = 24
 
 # Strings are tallied 2**16 at a time: large enough that each numpy step
 # outweighs its call overhead, small enough that the arrays stay near 1 MB.
@@ -115,9 +115,9 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     m = len(p)
     if n < m:
         raise InvalidHorizonError(f"n must be >= pattern length {m}, got {n}")
-    if n > DEFAULT_ENUMERATION_CEILING:
+    if n > ENUMERATION_CEILING:
         raise TooLargeError(
-            f"n={n} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}"
+            f"n={n} exceeds the enumeration ceiling {ENUMERATION_CEILING}"
         )
 
     pval = int(str(p), 2)
@@ -296,7 +296,9 @@ def _play(
     # The last m - 1 tosses of each live game, oldest first, one row each.
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)
-    _scan_blocks(p.bits, history, alive, lengths, stream, tosses, max_tosses)
+    _scan_blocks(
+        tuple(map(int, p.bits)), history, alive, lengths, stream, tosses, max_tosses
+    )
 
 
 def _scan_blocks(

@@ -72,6 +72,30 @@ def conditioned_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[i
     return sigma, tau
 
 
+def series_sigma(coeffs: tuple[int, ...], horizon: int) -> list[int]:
+    """sigma_0..sigma_horizon as the power series of c(z) / (z**m + (1 - 2z) c(z)).
+
+    coeffs are the overlap indicators c_1..c_m, with c_m = 1.  c(z) is
+    Guibas & Odlyzko's autocorrelation polynomial, with a z**(m - j) term
+    for each overlap length j, so its constant term is c_m = 1 and so is
+    the denominator's: the quotient comes out by integer series division,
+    one coefficient at a time.
+    """
+    m = len(coeffs)
+    c = coeffs[::-1]  # c[i] is the coefficient of z**i
+    denominator = [0] * m + [1]
+    for i, ci in enumerate(c):
+        denominator[i] += ci
+        denominator[i + 1] -= 2 * ci
+    sigma: list[int] = []
+    for n in range(horizon + 1):
+        s = c[n] if n < m else 0
+        for i in range(1, min(n, m) + 1):
+            s -= denominator[i] * sigma[n - i]
+        sigma.append(s)
+    return sigma
+
+
 def reference_decimal(numerator: int, exponent: int) -> str:
     """Exact decimal text of numerator / 2**exponent, by plain string work.
 

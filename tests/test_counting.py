@@ -1,5 +1,7 @@
 """Exact avoidance/first-completion counting and its identities."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from coinwait import (
     verify_identities,
 )
 from coinwait import counting
+from coinwait.pattern import CorrelationSet
 
 from _oracles import (
     automaton_sigma_tau,
@@ -29,6 +32,7 @@ from _oracles import (
     conditioned_sigma_tau,
     longest_prefix_suffix_state,
     prefix_automaton,
+    series_sigma,
 )
 
 
@@ -88,6 +92,33 @@ def test_counts_match_automaton_occupancy(length):
         counts = occurrence_counts(p, horizon)
         assert list(counts.sigma) == sigma
         assert list(counts.tau) == tau
+
+
+_LONG_RNG = random.Random(20261018)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 40, "10" * 20, "110" * 13, "1101" * 10]
+    + ["".join(_LONG_RNG.choice("01") for _ in range(m)) for m in (48, 64)],
+)
+def test_counts_match_automaton_occupancy_for_long_patterns(text):
+    # deep border chains, far past the horizon-64 sweep above
+    sigma, tau = automaton_sigma_tau(text, 256)
+    counts = occurrence_counts(parse_pattern(text), 256)
+    assert list(counts.sigma) == sigma
+    assert list(counts.tau) == tau
+
+
+@given(st.lists(st.integers(0, 1), max_size=29).map(lambda c: tuple(c) + (1,)))
+@settings(max_examples=60, deadline=None)
+def test_engine_is_the_generating_function_for_any_overlap_set(coeffs):
+    # verify's fault-injection cases swap in overlap sets no pattern has;
+    # the engine must still give the series of c(z) / (z**m + (1 - 2z) c(z))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "correlation_set", lambda p: CorrelationSet(coeffs))
+        counts = occurrence_counts(Pattern((1,) * len(coeffs)), 80)
+    assert list(counts.sigma) == series_sigma(coeffs, 80)
 
 
 # -- sigma/tau counting ------------------------------------------------

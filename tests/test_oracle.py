@@ -82,11 +82,16 @@ def test_tally_rejects_short_and_huge_n():
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 40])
-def test_tally_refuses_32_tosses_whatever_the_ceiling(n):
+def test_tally_refuses_n_at_and_past_the_uint32_word(n):
     # strings are uint32 words, so n >= 32 must be refused before any
     # 2**n-entry array is allocated
     with pytest.raises(TooLargeError):
         exhaustive_tally(parse_pattern("110"), n)
+
+
+def test_enumeration_ceiling_fits_a_uint32_word():
+    # the refusals above pass at any ceiling up to 30, so they cannot pin it
+    assert oracle.ENUMERATION_CEILING < 32
 
 
 def test_tally_memory_does_not_grow_with_n():
@@ -183,6 +188,16 @@ def test_single_trial_has_no_spread():
     r = simulate(parse_pattern("10"), 1, 5)
     assert r.sample_stderr == 0.0
     assert r.sample_mean >= 2
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [(1.0, 0.0, 1.0), tuple(np.array([True, False, True]))],
+    ids=["floats", "numpy-bools"],
+)
+def test_simulate_takes_any_bits_the_pattern_accepts(bits):
+    # Pattern admits any bit equal to 0 or 1; the block scan indexes by bit
+    assert simulate(Pattern(bits), 50, 3) == simulate(Pattern((1, 0, 1)), 50, 3)
 
 
 def test_simulate_rejects_bad_inputs():
