@@ -31,17 +31,24 @@ array: one scan finds the first round that completes a game, that round
 is settled and the rest of the block goes back to the stream.  Both modes
 read the same stream the same way, so a seed gives the same games
 whichever mode plays them.
+
+numpy is imported inside the functions that use it, so it loads on the
+first simulation or tally.  Importing coinwait, and the `expect`, `table`
+and `dist` commands, never load it: numpy's import is most of a fresh
+process's start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidHorizonError, SimulationRunawayError, TooLargeError
 from .pattern import Pattern
+
+if TYPE_CHECKING:  # annotations only; the functions import numpy themselves
+    import numpy as np
 
 __all__ = [
     "ExhaustiveTally",
@@ -119,6 +126,8 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
         raise TooLargeError(
             f"n={n} exceeds the enumeration ceiling {ENUMERATION_CEILING}"
         )
+
+    import numpy as np
 
     pval = int(str(p), 2)
     mask = (1 << m) - 1
@@ -215,6 +224,8 @@ def simulate(
             math.log(_FALSE_TRIP / trials) / math.log1p(-(2.0**-m))
         )
 
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     lengths = np.zeros(trials, dtype=np.int64)
     _play(p, lengths, _Tosses(rng), max_tosses)
@@ -245,6 +256,8 @@ class _Tosses:
     """The toss stream S (module docstring), drawn _BLOCK_TOSSES at a time."""
 
     def __init__(self, rng: np.random.Generator) -> None:
+        import numpy as np
+
         self._raw = rng.bit_generator.random_raw
         self._ahead = np.empty(0, dtype=bool)  # drawn, not yet read, from `at`
         self.at = 0  # readers advance it past the tosses they use
@@ -252,6 +265,8 @@ class _Tosses:
     def peek(self, k: int) -> np.ndarray:
         """The next k tosses, left unread."""
         if self._ahead.size - self.at < k:
+            import numpy as np
+
             raw = self._raw(max(k, _BLOCK_TOSSES) // 2 + 1)
             fresh = raw.astype("<u8", copy=False).view("<u4") >= 2**31
             self._ahead = np.concatenate((self._ahead[self.at :], fresh))
@@ -270,6 +285,8 @@ def _play(
     first toss most significant, aligned with the game numbers in alive;
     both shrink only in rounds where some game completes.
     """
+    import numpy as np
+
     m = len(p)
     word = np.uint32 if m <= 32 else np.uint64
     pval, mask = word(int(str(p), 2)), word((1 << m) - 1)
@@ -319,6 +336,8 @@ def _scan_blocks(
     (round, game) cell of the block at once.  Only the rounds up to the
     first completing one are read; the rest stay in the stream.
     """
+    import numpy as np
+
     m = len(bits)
     while alive.size:
         k = alive.size
