@@ -54,6 +54,8 @@ ERRORS = [
     ("error-negative-stake", ["expect", "11", "--stake", "-2"]),
     ("error-lengths-reversed", ["table", "--lengths", "5..3"]),
     ("error-lengths-not-a-range", ["table", "--lengths", "abc"]),
+    ("error-table-too-long", ["table", "--lengths", "2..13"]),
+    ("error-verify-too-long", ["verify", "--lengths", "12..13"]),
     ("error-dist-short-horizon", ["dist", "1101", "--horizon", "3"]),
     ("error-zero-trials", ["simulate", "11", "--trials", "0"]),
     ("error-verify-short-horizon", ["verify", "--lengths", "2..6", "--horizon", "10"]),
