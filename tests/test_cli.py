@@ -6,6 +6,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,12 +164,32 @@ def test_table_rejects_bad_ranges(capsys):
     assert run(["table", "--lengths", "2..13"], capsys)[0] == 1
 
 
-def test_table_cap_is_adjustable(capsys):
-    code, out, _ = run(
-        ["table", "--lengths", "13", "--cap", "13", "--format", "csv"], capsys
-    )
-    assert code == 0
-    assert out.count("\n") == (1 << 12) + 1
+def test_no_option_lifts_the_length_ceiling(capsys):
+    for argv in (
+        ["table", "--lengths", "13", "--cap", "13"],
+        ["verify", "--cap", "13"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --cap 13" in err
+
+
+def test_lengths_past_the_ceiling_are_refused_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the length ceiling")
+
+    for name in ("waiting_time_table", "verify_identities", "exhaustive_tally"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, lowest in (
+        (["table", "--lengths", "2..13"], 2),
+        (["verify", "--lengths", "1..13"], 1),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: lengths must satisfy {lowest} <= min <= max <= 12,"
+            f" got {lowest}..13\n"
+        )
 
 
 # -- dist --------------------------------------------------------------
@@ -495,3 +516,11 @@ def test_usage_errors_exit_one(capsys):
     assert run(["expect"], capsys)[0] == 1
     assert run(["frobnicate"], capsys)[0] == 1
     assert run(["expect", "11", "--format", "yaml"], capsys)[0] == 1
+
+
+def test_readme_expect_sample_is_what_the_cli_prints(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    prompt = "$ coinwait expect HH --stake 5\n"
+    assert prompt in readme
+    sample = readme.split(prompt, 1)[1].split("```", 1)[0]
+    assert run(["expect", "HH", "--stake", "5"], capsys) == (0, sample, "")
