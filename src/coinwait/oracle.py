@@ -7,16 +7,22 @@ bits, comparing each game's last m tosses with the pattern.  Agreement with
 the engine's sigma/tau sequences and with the closed-form means is
 therefore a genuine cross-check, not a tautology.
 
-The tally walks the 2**n strings in chunks of 2**16 consecutive integers.
-A window ending at j >= n - 16 + m lies in the low 16 bits, the same in
-every chunk, so those positions are scanned once; one ending at j <= n - 16
-is one integer per chunk, and its earliest hit completes the whole chunk.
-Only the m - 1 windows straddling the two are scanned per chunk.  Scans
-run from last position to first, each hit written over the previous one,
-so the earliest completion is left standing.  The arrays are one chunk
-long whatever n is (about 1.5 MB at peak), so the time grows with 2**n
-but the memory does not.  tau_j does not depend on n, so one tally at N
-gives every tau_j with j <= N, and its avoiding count is sigma_N.
+The tally walks the 2**n strings in chunks of 2**16 consecutive integers:
+the high n - 16 bits number the chunk, the low 16 run through every value.
+A window ending at j >= n - 16 + m lies in the low bits, the same in every
+chunk, so those positions are scanned once, from last to first, each hit
+written over the previous one, so the earliest completion is left
+standing.  One ending at j <= n - 16 is one integer per chunk, and its
+earliest hit completes the whole chunk.  Each of the m - 1 windows
+straddling the two hits when the chunk number ends in the pattern's first
+tosses and the low bits start with its last ones: one integer test, and
+one run of consecutive low values, the same run in every chunk.  So the
+chunks that share a set of straddling hits share their whole tally: it is
+made once, by writing those runs (later positions first) over a copy of
+the low-bit completions, and counted once per chunk.  The arrays are one
+chunk long whatever n is (about 1.2 MB at peak); what grows with n is a
+few integer tests per chunk.  tau_j does not depend on n, so one tally at
+N gives every tau_j with j <= N, and its avoiding count is sigma_N.
 
 The simulator reads one toss stream S from its seeded PCG64 generator:
 each raw 64-bit word gives two tosses, the top bits of its low and then
@@ -24,13 +30,15 @@ its high 32-bit half, which is what ``integers(0, 2, dtype=uint64)``
 returns from a fresh generator.  Games are played in rounds; in round r
 the live game of rank j among k live games gets toss S[pos_r + j], and
 pos_{r+1} = pos_r + k.
-While many games are live, each round is one vectorised step.  Once
-k * m fits in a block budget, the live set stays fixed until some game
-completes, so the next B rounds are just S[pos : pos + B*k] as a B x k
-array: one scan finds the first round that completes a game, that round
-is settled and the rest of the block goes back to the stream.  Both modes
-read the same stream the same way, so a seed gives the same games
-whichever mode plays them.
+While many games are live, each round is one vectorised step on windows
+of the narrowest unsigned type that holds m tosses.  Once k * m fits in a
+block budget, the live set stays fixed until some game completes, so the
+next B rounds are just S[pos : pos + B*k] as a B x k array: one scan
+finds the first round that completes a game, that round is settled and
+the rest of the block goes back to the stream.  B is the number of rounds
+between the last two completions, doubled after a block without one, so
+few scanned rounds are thrown away.  Both modes read the same stream the
+same way, so a seed gives the same games whichever mode plays them.
 
 numpy is imported inside the functions that use it, so it loads on the
 first simulation or tally.  Importing coinwait, and the `expect`, `table`
@@ -57,7 +65,7 @@ __all__ = [
     "simulate",
 ]
 
-# 2**24 strings is plenty for cross-checks and tallies in about 0.14 s.
+# 2**24 strings is plenty for cross-checks and tallies in a few ms.
 # The ceiling bounds time only: the tally's memory is fixed.  It must stay
 # <= 31, because strings are enumerated as uint32 words.
 ENUMERATION_CEILING = 24
@@ -66,7 +74,7 @@ ENUMERATION_CEILING = 24
 # outweighs its call overhead, small enough that the arrays stay near 1 MB.
 _TALLY_CHUNK_BITS = 16
 
-# Tosses (live games x rounds) read per block scan.  Rounds go in blocks once
+# Most tosses (live games x rounds) scanned per block.  Rounds go in blocks once
 # live games x pattern length fits in it; with more live games some game
 # completes nearly every round, and one vectorised step per round is cheaper
 # than scanning rounds past that completion.
@@ -77,7 +85,7 @@ _BLOCK_TOSSES = 1 << 15
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the arrays hold every game at once: about 35 B per trial at peak.
+# so the arrays hold every game at once: 22-29 B per trial at peak.
 _MAX_TRIALS = 10**7
 
 
@@ -113,11 +121,13 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     are irrelevant.  All counting is exact.  n may not exceed 24.
 
     The strings are walked in chunks of 2**min(n, 16); the module docstring
-    gives the three groups of end positions.  Positions are scanned from
+    gives the three groups of end positions.  Positions are written from
     last to first, every hit overwriting the completion position, so the
     earliest one is written last and no "completed yet" mask is needed.
-    Each chunk's positions are histogrammed into one running count.
-    Memory is a few chunk-sized arrays (about 1.5 MB at peak) for every n.
+    Chunks are grouped by the straddling windows their high bits allow;
+    each group's completions are histogrammed once and weighted by its
+    number of chunks.  Memory is a few chunk-sized arrays (about 1.2 MB at
+    peak) for every n.
     """
     m = len(p)
     if n < m:
@@ -132,31 +142,42 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     pval = int(str(p), 2)
     mask = (1 << m) - 1
     c = min(n, _TALLY_CHUNK_BITS)
+    h = n - c  # the high bits number the chunk
     low = np.arange(1 << c, dtype=np.uint32)  # a chunk's low c bits
-    strings, window = low.copy(), np.empty_like(low)
+    window = np.empty_like(low)
     hit = np.empty(low.size, dtype=bool)
-
-    def scan(positions, completion):  # later positions first, earliest hit last
-        for j in positions:
-            np.right_shift(strings, np.uint32(n - j), out=window)
-            np.bitwise_and(window, np.uint32(mask), out=window)
-            np.equal(window, np.uint32(pval), out=hit)
-            np.copyto(completion, j, where=hit)
-
     inner = np.zeros(low.size, dtype=np.uint8)  # 0 = no occurrence
-    scan(range(n, n - c + m - 1, -1), inner)  # windows in the low bits
-    outer = range(m, n - c + 1)  # windows in the high bits
-    straddling = range(min(n, n - c + m - 1), max(m, n - c + 1) - 1, -1)
+    for j in range(n, h + m - 1, -1):  # windows in the low bits, later first
+        np.right_shift(low, np.uint32(n - j), out=window)
+        np.bitwise_and(window, np.uint32(mask), out=window)
+        np.equal(window, np.uint32(pval), out=hit)
+        np.copyto(inner, j, where=hit)
+
+    # A straddling window ending at j has its last s = j - h tosses in the
+    # low bits: it hits when the high bits end in the pattern's first m - s
+    # tosses and the low bits start with its last s, a run of 2**(c - s)
+    # strings.  Later positions come first, so earlier hits overwrite them.
+    straddling, runs = [], {}
+    for j in range(min(n, h + m - 1), max(m, h + 1) - 1, -1):
+        s = j - h
+        straddling.append((j, (1 << (m - s)) - 1, pval >> s))
+        start = (pval & ((1 << s) - 1)) << (c - s)
+        runs[j] = slice(start, start + (1 << (c - s)))
+    outer = range(m, h + 1)  # windows in the high bits
     raw = np.zeros(n + 1, dtype=np.int64)
-    for high in range(1 << (n - c)):
-        j = next((j for j in outer if (high >> (n - c - j)) & mask == pval), 0)
+    chunks: dict[tuple, int] = {}  # straddling hits -> chunks with them
+    for high in range(1 << h):
+        j = next((j for j in outer if (high >> (h - j)) & mask == pval), 0)
         if j:  # the whole chunk completes at its earliest outer hit
             raw[j] += 1 << c
             continue
-        np.add(low, np.uint32(high << c), out=strings)
+        hits = tuple(j for j, last, first in straddling if high & last == first)
+        chunks[hits] = chunks.get(hits, 0) + 1
+    for hits, count in chunks.items():
         completion = inner.copy()
-        scan(straddling, completion)
-        raw += np.bincount(completion, minlength=n + 1)
+        for j in hits:
+            completion[runs[j]] = j
+        raw += count * np.bincount(completion, minlength=n + 1)
 
     counts: dict[int, int] = {}
     for j in range(m, n + 1):
@@ -281,14 +302,18 @@ def _play(
 
     Rounds are single vectorised steps until every live game has m - 1
     tosses and live games x m fits in the block budget; _scan_blocks plays
-    the rest.  window holds each live game's last m tosses as an integer,
+    the rest.  window holds each live game's last m tosses as an integer
+    of the narrowest unsigned type that fits them (1 B up to 8 tosses),
     first toss most significant, aligned with the game numbers in alive;
-    both shrink only in rounds where some game completes.
+    both shrink only in rounds where some game completes.  A boolean mask
+    compacts them fastest when few games finish, since it copies long kept
+    runs whole, and an index array when many do, since a mask then branches
+    on every short run.
     """
     import numpy as np
 
     m = len(p)
-    word = np.uint32 if m <= 32 else np.uint64
+    word = np.min_scalar_type((1 << m) - 1).type  # unsigned, m bits or more
     pval, mask = word(int(str(p), 2)), word((1 << m) - 1)
     alive = np.arange(lengths.size, dtype=np.int32)
     window = np.zeros(lengths.size, dtype=word)
@@ -297,19 +322,21 @@ def _play(
         if tosses >= max_tosses:
             raise _runaway(max_tosses)
         tosses += 1
-        window <<= 1
+        window += window  # the shift by one: uint8 shifts have no vector loop
         window |= stream.peek(alive.size)
         stream.at += alive.size
         window &= mask
         if tosses >= m:
             hit = window == pval
-            if hit.any():
+            done = np.count_nonzero(hit)
+            if done:
                 lengths[alive.compress(hit)] = tosses
-                keep = np.flatnonzero(~hit)
-                if not keep.size:
-                    return
-                alive = alive.take(keep)
-                window = window.take(keep)
+                if done * 32 < alive.size:  # faster below about 1 in 25
+                    keep = ~hit
+                    alive, window = alive[keep], window[keep]
+                else:
+                    keep = np.flatnonzero(~hit)
+                    alive, window = alive.take(keep), window.take(keep)
     # The last m - 1 tosses of each live game, oldest first, one row each.
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)
@@ -334,18 +361,22 @@ def _scan_blocks(
     game's last m - 1 tosses, the game completes in that round when rows
     q .. q + m - 1 spell the pattern: m boolean ANDs find every completing
     (round, game) cell of the block at once.  Only the rounds up to the
-    first completing one are read; the rest stay in the stream.
+    first completing one are read; the rest stay in the stream, so a block
+    has as many rounds as passed between the last two completions, twice
+    as many after a block without one, at most _BLOCK_TOSSES // k.  The
+    negated tape is built only for a pattern with a tail.
     """
     import numpy as np
 
     m = len(bits)
+    rounds, since = 1, 0  # this block's rounds; rounds since a game completed
     while alive.size:
         k = alive.size
-        rounds = min(_BLOCK_TOSSES // k, max_tosses - tosses)
+        rounds = min(rounds, _BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
         tape = np.concatenate((history, stream.peek(rounds * k).reshape(rounds, k)))
-        sides = (~tape, tape)
+        sides = (~tape if 0 in bits else None, tape)
         hit = sides[bits[0]][:rounds].copy()
         for i in range(1, m):
             np.logical_and(hit, sides[bits[i]][i : i + rounds], out=hit)
@@ -354,11 +385,14 @@ def _scan_blocks(
             tosses += rounds
             stream.at += rounds * k
             history = tape[rounds:]
+            since += rounds
+            rounds *= 2
             continue
         q = int(completing.argmax())
         tosses += q + 1
         stream.at += (q + 1) * k
+        rounds, since = since + q + 1, 0
         keep = ~hit[q]
         lengths[alive[hit[q]]] = tosses
         alive = alive[keep]
-        history = tape[q + 1 : q + m, keep]
+        history = tape[q + 1 : q + m].compress(keep, axis=1)
