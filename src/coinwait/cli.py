@@ -19,10 +19,11 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
+import os
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from pathlib import Path
 
 from .counting import extend_counts, occurrence_counts, verify_identities
@@ -171,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # A command's answer: JSON inputs and results, CSV header (keys of each row dict)
-# and rows, a callable that builds the text lines on demand, and the exit status.
+# and rows, a callable that yields the text lines on demand, and the exit status.
 _Record = namedtuple("_Record", "inputs results header rows text status")
 
 
@@ -190,30 +191,28 @@ def _csv_cell(value):
     return ";".join(str(item) for item in value) if isinstance(value, list) else value
 
 
-def _aligned(rows, right=()) -> list[str]:
+def _aligned(rows, right=()) -> Iterator[str]:
     cells = [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-    return [
-        "  ".join(
+    for row in cells:
+        yield "  ".join(
             cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
             for i, cell in enumerate(row)
         ).rstrip()
-        for row in cells
-    ]
 
 
-def _render(command: str, fmt: str, record: _Record) -> str:
+def _render(command: str, fmt: str, record: _Record, out) -> None:
     if fmt == "json":
         payload = dict(command=command, inputs=record.inputs, results=record.results)
-        return json.dumps(_json_safe(payload), indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        json.dump(_json_safe(payload), out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(record.header)
         for row in record.rows:
             writer.writerow([_csv_cell(row[key]) for key in record.header])
-        return buf.getvalue()
-    return "\n".join(record.text()) + "\n"
+    else:
+        out.writelines(line + "\n" for line in record.text())
 
 
 # -- command handlers --------------------------------------------------
@@ -261,14 +260,11 @@ def _cmd_table(args) -> _Record:
 
     def text():
         cells = [[row.length, row.average, " ".join(row.patterns)] for row in rows]
-        lines = _aligned([["length", "average", "patterns"], *cells], right={0, 1})
+        yield from _aligned([["length", "average", "patterns"], *cells], right={0, 1})
         if not args.all_patterns:
-            lines += [
-                "",
-                "only patterns starting with 1 are listed; each 0-leading"
-                " complement (heads and tails swapped) has the same average",
-            ]
-        return lines
+            yield ""
+            yield ("only patterns starting with 1 are listed; each 0-leading"
+                   " complement (heads and tails swapped) has the same average")
 
     inputs = {"lengths": f"{lo}..{hi}", "all_patterns": bool(args.all_patterns)}
     header = ["length", "average", "pattern"]
@@ -302,12 +298,10 @@ def _cmd_dist(args) -> _Record:
     residual = DyadicRational(counts.sigma[-1], args.horizon).fraction_str()
 
     def text():
-        return [
-            f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}",
-            *_aligned([header, *(row.values() for row in rows)], right={0, 1}),
-            "",
-            f"mass not yet seen by the horizon: {residual} = {rows[-1]['residual']}",
-        ]
+        yield f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}"
+        yield from _aligned([header, *(row.values() for row in rows)], right={0, 1})
+        yield ""
+        yield f"mass not yet seen by the horizon: {residual} = {rows[-1]['residual']}"
 
     inputs = {"pattern": args.pattern, "horizon": args.horizon}
     results = {"rows": rows, "residual": residual}
@@ -447,14 +441,20 @@ def main(argv=None) -> int:
     try:
         with _no_int_digit_limit():
             record = _COMMANDS[args.command](args)
-            text = _render(args.command, args.format, record)
-            if args.output is None:
-                sys.stdout.write(text)
-            else:
-                args.output.write_text(text, encoding="utf-8")
+            # Opened only once the command has succeeded, so a failure leaves no file.
+            with (contextlib.nullcontext(sys.stdout) if args.output is None
+                  else args.output.open("w", encoding="utf-8")) as out:
+                _render(args.command, args.format, record, out)
+                out.flush()  # here, where a closed pipe is handled, not at exit
     except SimulationRunawayError as exc:
         print(f"internal guard tripped: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_GUARD
+    except BrokenPipeError:
+        # The reader left (`| head`): not an error.  What stdout still holds goes
+        # to devnull when it is flushed at exit.
+        if args.output is None:
+            with open(os.devnull, "w") as sink:
+                os.dup2(sink.fileno(), sys.stdout.fileno())
     except (CoinwaitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -264,14 +265,23 @@ def test_dist_writes_counts_past_the_int_digit_limit(capsys, default_digit_limit
     assert len(last["cumulative"]) == e + 2  # "0." and e digits
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_expect_writes_a_waiting_time_past_the_int_digit_limit(
-    capsys, default_digit_limit
+    fmt, capsys, default_digit_limit
 ):
-    code, out, err = run(["expect", "1" * 15_000, "--format", "json"], capsys)
+    # JSON turns the 4,516-digit int into a string before writing; text and
+    # CSV call str() on it as they write, so the limit must be lifted then too.
+    code, out, err = run(["expect", "1" * 15_000, "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert _int_digit_limit() == default_digit_limit
+    if fmt == "json":
+        expected = json.loads(out)["results"]["expected_tosses"]
+    elif fmt == "csv":
+        expected = next(csv.DictReader(io.StringIO(out)))["expected_tosses"]
+    else:
+        line = next(line for line in out.splitlines() if line.startswith("expected"))
+        expected = line.split()[-1]
     # Decimal(str) is not bound by the limit; int(str) would be.
-    expected = json.loads(out)["results"]["expected_tosses"]
     assert Decimal(expected) == 2**15_001 - 2
 
 
@@ -279,6 +289,34 @@ def test_dist_rejects_horizon_below_length(capsys):
     code, _, err = run(["dist", "1101", "--horizon", "3"], capsys)
     assert code == 1
     assert "horizon" in err
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing and counts the characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_dist_holds_under_one_and_a_half_times_its_output(fmt, monkeypatch):
+    # The rows' cells are about one copy of the output (0.7x to 1.2x on
+    # Python 3.11).  A second whole copy, such as a buffer, a joined string
+    # or a list of the aligned lines, would take the peak past 1.5x.
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["dist", "11", "--horizon", "2000", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.5 * sink.chars
 
 
 # -- simulate ----------------------------------------------------------
@@ -480,13 +518,36 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").startswith("length,average,pattern\n")
 
 
-def test_output_write_failure_is_a_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "out.txt"
-    code, out, err = run(["expect", "11", "--output", str(target)], capsys)
+def test_a_failing_command_creates_no_output_file(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    argv = ["dist", "1101", "--horizon", "3", "--output", str(target)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "horizon" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        pytest.param("missing/out.txt", "No such file or directory", id="missing-dir"),
+        # An absolute target replaces tmp_path.  /dev/full fails the writes.
+        pytest.param(
+            "/dev/full",
+            "No space left on device",
+            id="dev-full",
+            marks=pytest.mark.skipif(
+                not Path("/dev/full").exists(), reason="no /dev/full on this system"
+            ),
+        ),
+    ],
+)
+def test_output_write_failure_is_a_usage_error(target, reason, tmp_path, capsys):
+    code, out, err = run(["expect", "11", "--output", str(tmp_path / target)], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
-    assert "No such file or directory" in err
+    assert reason in err
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):

@@ -17,13 +17,17 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def python_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, env=python_env(), timeout=120
     )
 
 
@@ -53,3 +57,38 @@ def test_exact_commands_never_import_numpy():
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr.decode().split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_reader_that_stops_early_is_no_error(fmt, unbuffered):
+    # As `coinwait dist 11 --horizon 2000 | head -1` does: the reader closes
+    # the pipe after a few bytes of 8 to 13 MB.  Buffered and unbuffered
+    # stdout meet the closed pipe in different writes.
+    extra = [] if fmt == "text" else ["--format", fmt]
+    env = {**python_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coinwait.cli", "dist", "11", "--horizon", "2000", *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_a_reader_that_reads_nothing_is_no_error():
+    # As `coinwait expect 110 | true` does.  The short output is still in
+    # stdout's buffer when the command is done, so it meets the closed pipe
+    # at the last flush, which must come before exit.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coinwait.cli", "expect", "110"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**python_env(), "PYTHONUNBUFFERED": ""},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

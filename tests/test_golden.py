@@ -2,9 +2,10 @@
 
 Every case runs ``coinwait.cli.main(argv)`` in process.  Its stdout must
 equal ``golden/<case>.out`` exactly, and its exit code and stderr must equal
-the entry for the case in ``golden/status.json``.  The files pin the bytes
-each command prints in each format, so that refactors of the CLI can be
-checked against them.
+the entry for the case in ``golden/status.json``.  Each command case runs
+once more with ``--output``, and the file must hold the same bytes.  The
+files pin the bytes each command prints in each format, so that refactors
+of the CLI can be checked against them.
 
 Record the files again only when an output change is intended:
 
@@ -89,8 +90,8 @@ def _full_overlap_only(p):
     return CorrelationSet((0,) * (len(p) - 1) + (1,))
 
 
-def run_case(case: str) -> tuple[int, str, str]:
-    """Run one case and return (exit code, stdout, stderr)."""
+def run_case(case: str, extra=()) -> tuple[int, str, str]:
+    """Run one case, with extra arguments, and return (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         # argparse wraps usage lines to the terminal width
@@ -104,7 +105,7 @@ def run_case(case: str) -> tuple[int, str, str]:
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:
-            code = cli.main(list(CASES[case]))
+            code = cli.main([*CASES[case], *extra])
         except SystemExit as exc:  # argparse usage failures
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -121,6 +122,17 @@ def test_cli_bytes_match_golden(case):
     assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
     assert err == want["stderr"]
     assert code == want["exit"]
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in sorted(CASES) if case.split(".")[0] in dict(COMMANDS)]
+)
+def test_output_file_matches_golden(case, tmp_path):
+    target = tmp_path / "out"
+    code, out, err = run_case(case, ["--output", str(target)])
+    want = _load_status()[case]
+    assert target.read_bytes() == (GOLDEN / f"{case}.out").read_bytes()
+    assert (code, out, err) == (want["exit"], "", want["stderr"])
 
 
 def test_every_golden_file_has_a_case():
