@@ -1,10 +1,12 @@
 """Exact dyadic rationals k / 2**e, and their exact decimal rendering.
 
-Every probability attached to a fair coin is dyadic, so this tiny type is
-all the arithmetic the counting engine needs: exact addition, subtraction
-and comparison, with no floating point anywhere.  Values are kept in the
-canonical form where the numerator is odd (or zero) whenever the exponent
-can still be reduced, so equal values always have equal field tuples.
+Every probability attached to a fair coin is dyadic, and this type holds
+one in the canonical form where the numerator is odd (or zero) whenever
+the exponent can still be reduced, so equal values always have equal
+field tuples.  Addition, subtraction and comparison are exact, with no
+floating point anywhere: they are fractions.Fraction arithmetic on the
+two values, taken only with an int or another dyadic, and a sum or
+difference comes back in canonical form.
 
 A dyadic always has a terminating decimal expansion, k / 2**e =
 k * 5**e / 10**e, and this module owns the one rule that writes it out:
@@ -20,6 +22,7 @@ refuses past its int_max_str_digits limit.
 from __future__ import annotations
 
 import decimal
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,6 +53,28 @@ def decimal_text(scaled: Decimal, exponent: int) -> str:
     return format(shifted.normalize(EXACT_DECIMAL), "f")
 
 
+def _exact(op):
+    """Apply the Fraction operator op to the operands' exact values.
+
+    The other operand must be an int or a DyadicRational; anything
+    else is NotImplemented, because reading a sum with a Fraction
+    such as 1/3 back as k / 2**e would silently change its value.
+    Sums and differences come back as dyadics, comparisons as bools.
+    """
+
+    def method(self, other):
+        if isinstance(other, DyadicRational):
+            other = other.as_fraction()
+        elif not isinstance(other, int):
+            return NotImplemented
+        result = op(self.as_fraction(), other)
+        if isinstance(result, Fraction):
+            return DyadicRational(result.numerator, result.denominator.bit_length() - 1)
+        return result
+
+    return method
+
+
 class DyadicRational:
     """Immutable exact value numerator / 2**exponent."""
 
@@ -73,76 +98,19 @@ class DyadicRational:
     def __setattr__(self, name, value):
         raise AttributeError("DyadicRational is immutable")
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic and comparison ------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "DyadicRational":
-        if isinstance(value, DyadicRational):
-            return value
-        if isinstance(value, int):
-            return DyadicRational(value, 0)
-        return NotImplemented
-
-    def _aligned(self, other: "DyadicRational") -> tuple[int, int, int]:
-        e = max(self.exponent, other.exponent)
-        a = self.numerator << (e - self.exponent)
-        b = other.numerator << (e - other.exponent)
-        return a, b, e
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = self._aligned(other)
-        return DyadicRational(a + b, e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = self._aligned(other)
-        return DyadicRational(a - b, e)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __add__ = __radd__ = _exact(operator.add)
+    __sub__ = _exact(operator.sub)
+    __rsub__ = _exact(lambda a, b: b - a)
+    __eq__ = _exact(operator.eq)
+    __lt__ = _exact(operator.lt)
+    __le__ = _exact(operator.le)
+    __gt__ = _exact(operator.gt)
+    __ge__ = _exact(operator.ge)
 
     def __neg__(self):
         return DyadicRational(-self.numerator, self.exponent)
-
-    # -- comparison ---------------------------------------------------
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.numerator, self.exponent) == (other.numerator, other.exponent)
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a < b
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other):
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __ge__(self, other):
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
 
     def __hash__(self):
         # Matches hash(int) for integer-valued dyadics, keeping == and hash

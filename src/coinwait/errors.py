@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CoinwaitError",
+    "EmptyPatternError",
+    "InvalidSymbolError",
+    "InvalidLengthError",
+    "InvalidIndexError",
+    "InvalidHorizonError",
+    "TooLargeError",
+    "SimulationRunawayError",
+]
+
 
 class CoinwaitError(Exception):
     """Base class for all errors raised by coinwait."""

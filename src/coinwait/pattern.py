@@ -15,6 +15,7 @@ positive powers of two: an even integer between 2**m and 2**(m+1) - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .errors import EmptyPatternError, InvalidLengthError, InvalidSymbolError
@@ -107,9 +108,9 @@ def patterns_of_length(length: int, canonical: bool = True) -> Iterator[Pattern]
     """
     if length < 1:
         raise InvalidLengthError(f"pattern length must be >= 1, got {length}")
-    start = 1 << (length - 1) if canonical else 0
-    for value in range(start, 1 << length):
-        yield Pattern(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
+    first = (1,) if canonical else (0, 1)
+    for bits in product(first, *[(0, 1)] * (length - 1)):
+        yield Pattern(bits)
 
 
 def complement(p: Pattern) -> Pattern:

@@ -86,6 +86,20 @@ def test_integer_mixing(d, k):
     assert (d < k) == (d.as_fraction() < k)
 
 
+@pytest.mark.parametrize("other", [Fraction(1, 3), 0.5, "1"], ids=["fraction", "float", "str"])
+def test_arithmetic_takes_only_ints_and_dyadics(other):
+    # A sum with 1/3 read back as k / 2**e would be a wrong value, not an error.
+    d = DyadicRational(1, 1)
+    for combine in (
+        lambda: d + other,
+        lambda: other + d,
+        lambda: d - other,
+        lambda: other - d,
+    ):
+        with pytest.raises(TypeError):
+            combine()
+
+
 def test_hash_agrees_with_equal_ints():
     assert hash(DyadicRational(6, 1)) == hash(3)
     assert DyadicRational(6, 1) == 3

@@ -59,6 +59,42 @@ def test_exact_commands_never_import_numpy():
     assert proc.stderr.decode().split() == ["False", "True"]
 
 
+PACKAGE_API = [
+    "CoinwaitError", "CorrelationSet", "DyadicRational", "EmptyPatternError",
+    "ExhaustiveTally", "IdentityReport", "InvalidHorizonError", "InvalidIndexError",
+    "InvalidLengthError", "InvalidSymbolError", "OccurrenceCounts", "Pattern",
+    "SimulationResult", "SimulationRunawayError", "TableRow", "TooLargeError",
+    "WaitingTimeReport", "closed_form_tau", "complement", "correlation_set",
+    "exhaustive_tally", "expected_profit", "expected_waiting_time", "extend_counts",
+    "fibonacci", "first_occurrence_distribution", "mean_via_sigma_series",
+    "occurrence_counts", "parse_pattern", "patterns_of_length", "simulate",
+    "verify_identities", "waiting_time_bounds", "waiting_time_report",
+    "waiting_time_table",
+]
+
+
+def test_package_exports_exactly_its_api():
+    # The package builds __all__ from its modules' own lists, so dropping a
+    # module's star import or one entry of a module's __all__ shows here.
+    probe = textwrap.dedent(
+        """
+        import inspect
+        import coinwait
+        names = {}
+        exec("from coinwait import *", names)
+        public = [n for n in dir(coinwait)
+                  if not n.startswith("_") and not inspect.ismodule(getattr(coinwait, n))]
+        print(" ".join(sorted(coinwait.__all__)))
+        print(" ".join(sorted(set(names) - {"__builtins__"})))
+        print(" ".join(public))
+        """
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.decode().splitlines()
+    assert [line.split() for line in lines] == [sorted(PACKAGE_API)] * 3
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_a_reader_that_stops_early_is_no_error(fmt, unbuffered):

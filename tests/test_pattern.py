@@ -121,7 +121,7 @@ def test_patterns_of_length_order_and_count():
         "00", "01", "10", "11",
     ]
     assert [str(p) for p in patterns_of_length(3)] == ["100", "101", "110", "111"]
-    for length in range(1, 5):
+    for length in range(1, 13):
         every = [str(p) for p in patterns_of_length(length, canonical=False)]
         assert every == [format(v, f"0{length}b") for v in range(1 << length)]
         canonical = [str(p) for p in patterns_of_length(length)]
