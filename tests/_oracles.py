@@ -226,21 +226,26 @@ def per_toss_simulation(
     one = np.uint64(1)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    window = np.zeros(trials, dtype=np.uint64)
     lengths = np.zeros(trials, dtype=np.int64)
+    # the live games, in trial order, and each one's window at the same index
     alive = np.arange(trials, dtype=np.int64)
+    window = np.zeros(trials, dtype=np.uint64)
     tosses = 0
     while alive.size:
         tosses += 1
         if max_tosses is not None and tosses > max_tosses:
             return None
         bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
-        current = ((window[alive] << one) | bits) & mask
-        window[alive] = current
+        window <<= one
+        window |= bits
+        window &= mask
         if tosses >= m:
-            finished = current == pval
-            lengths[alive[finished]] = tosses
-            alive = alive[~finished]
+            finished = window == pval
+            if np.count_nonzero(finished):
+                lengths[alive[finished]] = tosses
+                live = ~finished
+                alive = alive[live]
+                window = window[live]
 
     mean = float(lengths.mean())
     stderr = float(lengths.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -6,9 +6,11 @@ fresh process imports would show there.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -41,13 +43,14 @@ def test_module_entry_point_matches_golden(fmt):
 
 
 def test_exact_commands_never_import_numpy():
-    # table is left out on purpose: a vectorised table may import numpy.
     probe = textwrap.dedent(
         """
         import sys
         import coinwait, coinwait.cli
         from coinwait.cli import main
         main(["expect", "10101"])
+        main(["table", "--lengths", "2..12"])
+        main(["table", "--lengths", "2..4", "--all-patterns"])
         main(["dist", "110", "--horizon", "20"])
         print("numpy" in sys.modules, file=sys.stderr)
         main(["simulate", "11", "--trials", "10"])
@@ -128,3 +131,33 @@ def test_a_reader_that_reads_nothing_is_no_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_ctrl_c_ends_a_command_with_one_line_and_exit_130():
+    # As Ctrl-C on `coinwait simulate 1^34 --trials 1`, a game of about 2**35
+    # tosses that runs for hours.  The child says when it is about to call
+    # main, so the interrupt lands inside the command, not in start-up.
+    probe = textwrap.dedent(
+        """
+        import sys
+        from coinwait.cli import main
+        print("ready", file=sys.stderr, flush=True)
+        sys.exit(main(["simulate", "1" * 34, "--trials", "1"]))
+        """
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", probe],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=python_env(),
+    )
+    try:
+        assert proc.stderr.readline() == b"ready\n"
+        time.sleep(1)  # well into the simulation's rounds
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert (proc.returncode, out) == (130, b"")
+    assert err.decode().splitlines() == ["interrupted"]

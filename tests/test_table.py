@@ -2,11 +2,13 @@
 
 import pytest
 
+from _oracles import operational_correlation
 from coinwait import (
     InvalidLengthError,
     complement,
     expected_waiting_time,
     parse_pattern,
+    patterns_of_length,
     waiting_time_table,
 )
 
@@ -112,3 +114,32 @@ def test_single_toss_table():
     assert len(rows) == 1
     assert rows[0].average == 2
     assert rows[0].patterns == ("1",)
+
+
+@pytest.mark.parametrize("include_complements", [False, True], ids=["canonical", "all"])
+def test_every_average_is_the_overlap_sum_of_its_patterns(include_complements):
+    # The table reads overlaps off integer codes; here each average is
+    # recomputed from the KMP correlation set, and up to length 10 from the
+    # overlaps found by trying every completion (2**m joins per pattern, so
+    # lengths 11..14 would add minutes).
+    rows = waiting_time_table(range(1, 15), include_complements=include_complements)
+    for length in range(1, 15):
+        own = [row for row in rows if row.length == length]
+        assert [row.average for row in own] == sorted({row.average for row in own})
+        listed = [text for row in own for text in row.patterns]
+        assert sorted(listed) == [
+            str(p) for p in patterns_of_length(length, canonical=not include_complements)
+        ]
+        for row in own:
+            assert list(row.patterns) == sorted(row.patterns)
+            for text in row.patterns:
+                assert expected_waiting_time(parse_pattern(text)) == row.average
+                if length <= 10:
+                    coeffs = operational_correlation(text)
+                    assert sum(1 << j for j, c in enumerate(coeffs, 1) if c) == row.average
+
+
+@pytest.mark.parametrize("lengths", [[3, 0], [-1]])
+def test_rejects_any_length_below_one(lengths):
+    with pytest.raises(InvalidLengthError):
+        waiting_time_table(lengths)
