@@ -25,10 +25,11 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
-from .counting import extend_counts, occurrence_counts, verify_identities
-from .dyadic import EXACT_DECIMAL, DyadicRational, decimal_text
+from .counting import _counts, _scaled_counts, extend_counts, verify_identities
+from .dyadic import EXACT_DECIMAL, decimal_text, fraction_text
 from .errors import CoinwaitError, SimulationRunawayError
 from .oracle import ENUMERATION_CEILING, exhaustive_tally, simulate
 from .pattern import (
@@ -176,6 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # A command's answer: JSON inputs and results, CSV header (keys of each row dict)
 # and rows, a callable that yields the text lines on demand, and the exit status.
+# dist gives its rows as an iterator of cell lists in header order instead, read
+# once as they are written (see _stream); it sets its other results after the last.
 _Record = namedtuple("_Record", "inputs results header rows text status")
 
 
@@ -205,17 +208,56 @@ def _aligned(rows, right=()) -> Iterator[str]:
 
 
 def _render(command: str, fmt: str, record: _Record, out) -> None:
-    if fmt == "json":
+    if fmt == "text":
+        out.writelines(line + "\n" for line in record.text())
+    elif isinstance(record.rows, Iterator):
+        _stream(command, fmt, record, out)
+    elif fmt == "json":
         payload = dict(command=command, inputs=record.inputs, results=record.results)
         json.dump(_json_safe(payload), out, indent=2)
         out.write("\n")
-    elif fmt == "csv":
+    else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(record.header)
         for row in record.rows:
             writer.writerow([_csv_cell(row[key]) for key in record.header])
-    else:
-        out.writelines(line + "\n" for line in record.text())
+
+
+def _json_numeral(cell) -> str:
+    if isinstance(cell, str):
+        return f'"{cell}"'
+    return str(cell) if abs(cell) <= _JSON_SAFE_INT else f'"{cell}"'
+
+
+def _stream(command: str, fmt: str, record: _Record, out) -> None:
+    """Write rows that come as an iterator of cell lists, each as it comes.
+
+    Every cell is an int or a numeral the command formatted itself (digits,
+    '.', '/', '-'), which JSON need not escape and CSV need not quote, so a
+    row is written from a fixed template in the bytes that json.dump with
+    indent=2 and csv.writer would give.  In JSON the rows are
+    results["rows"], ahead of the other results; the envelope around them
+    still goes through json.dumps, after the last row for its end.
+    """
+    if fmt == "csv":
+        out.write(",".join(record.header) + "\n")
+        for cells in record.rows:
+            out.write(",".join(map(str, cells)) + "\n")
+        return
+
+    def envelope(results):
+        payload = dict(command=command, inputs=record.inputs,
+                       results={"rows": [], **results})
+        return json.dumps(_json_safe(payload), indent=2).partition('"rows": []')
+
+    fields = ",\n".join(f"        {json.dumps(key)}: {{}}" for key in record.header)
+    template = "      {{\n" + fields + "\n      }}"
+    out.write(envelope({})[0] + '"rows": [\n')
+    separator = ""
+    for cells in record.rows:
+        out.write(separator + template.format(*map(_json_numeral, cells)))
+        separator = ",\n"
+    out.write("\n    ]" + envelope(record.results)[2] + "\n")
 
 
 # -- command handlers --------------------------------------------------
@@ -276,39 +318,38 @@ def _cmd_table(args) -> _Record:
 
 def _cmd_dist(args) -> _Record:
     p = parse_pattern(args.pattern)
-    m = len(p)
-    if args.horizon < m:
+    m, horizon = len(p), args.horizon
+    if horizon < m:
         raise CoinwaitError(
-            f"horizon must be >= pattern length {m}, got {args.horizon}"
+            f"horizon must be >= pattern length {m}, got {horizon}"
         )
-    counts = occurrence_counts(p, args.horizon)
-    exact = EXACT_DECIMAL
-    # k / 2**n is k * 5**n / 10**n: one running power of five scales both
-    # counts of a row into base 10, where their digits are written out.
-    five_power = exact.power(5, m)
     header = ["n", "tau", "probability", "decimal", "cumulative", "residual"]
-    rows = []
-    for n in range(m, args.horizon + 1):
-        tau = counts.tau[n]
-        prob = exact.multiply(tau, five_power)
-        res = exact.multiply(counts.sigma[n], five_power)
-        # cumulative P(T <= n) = 1 - sigma_n / 2**n, the telescoping identity
-        cum = exact.subtract(exact.scaleb(1, n), res)
-        cells = [n, tau, DyadicRational(tau, n).fraction_str(), decimal_text(prob, n),
-                 decimal_text(cum, n), decimal_text(res, n)]
-        rows.append(dict(zip(header, cells)))
-        five_power = exact.multiply(five_power, 5)
-    residual = DyadicRational(counts.sigma[-1], args.horizon).fraction_str()
+    results = {"residual": None}
+
+    def rows():
+        # tau_n / 2**n = T_n / 10**n: the scaled engine's T_n and S_n are the
+        # numerators of the decimal and residual columns, written out in base 10.
+        exact = EXACT_DECIMAL
+        steps = zip(range(1, horizon + 1), _counts(p), _scaled_counts(p))
+        for n, (sigma, tau), (scaled_sigma, scaled_tau) in islice(steps, m - 1, None):
+            # cumulative P(T <= n) = 1 - sigma_n / 2**n, the telescoping identity
+            cum = exact.subtract(exact.scaleb(1, n), scaled_sigma)
+            yield [n, tau, fraction_text(tau, n), decimal_text(scaled_tau, n),
+                   decimal_text(cum, n), decimal_text(scaled_sigma, n)]
+        results["residual"] = fraction_text(sigma, horizon)
+
+    streamed = rows()
 
     def text():
-        yield f"pattern {p} ({p.heads_tails()}), horizon {args.horizon}"
-        yield from _aligned([header, *(row.values() for row in rows)], right={0, 1})
+        held = list(streamed)  # the column widths need every row
+        yield f"pattern {p} ({p.heads_tails()}), horizon {horizon}"
+        yield from _aligned([header, *held], right={0, 1})
         yield ""
-        yield f"mass not yet seen by the horizon: {residual} = {rows[-1]['residual']}"
+        residual = results["residual"]
+        yield f"mass not yet seen by the horizon: {residual} = {held[-1][-1]}"
 
-    inputs = {"pattern": args.pattern, "horizon": args.horizon}
-    results = {"rows": rows, "residual": residual}
-    return _Record(inputs, results, header, rows, text, EXIT_OK)
+    inputs = {"pattern": args.pattern, "horizon": horizon}
+    return _Record(inputs, results, header, streamed, text, EXIT_OK)
 
 
 def _cmd_simulate(args) -> _Record:

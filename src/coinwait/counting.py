@@ -20,15 +20,32 @@ gives tau_n = sigma_{n-m} - sum_{j < m: c_j = 1} tau_{n-m+j} for n >= m,
 and doubling gives sigma_n.  Telescoping the doubling identity gives an
 exact dyadic mass balance; verify_identities checks all three.
 
-Everything here is integer arithmetic on Python ints, so counts of any
-size stay exact; there is no overflow to guard against.
+The engine is a generator that keeps only its last m terms, in two forms.
+_counts yields (sigma_n, tau_n) as Python ints, so counts of any size stay
+exact and there is no overflow to guard against; each step is shifts and
+subtractions only.  occurrence_counts and extend_counts collect it, and
+mean_via_sigma_series sums it as it goes.  _scaled_counts runs the same
+two identities on the weighted counts S_n = sigma_n 5**n and
+T_n = tau_n 5**n (per-toss weight 5) as exact Decimals:
+
+    T_n = 5**m S_{n-m} - sum_{j < m: c_j = 1} 5**(m-j) T_{n-m+j}
+    S_n = 10 S_{n-1} - T_n
+
+Since tau_n / 2**n = T_n / 10**n, these are the base-10 numerators of the
+distribution's decimals, and each step multiplies only by small constants.
+All of its arithmetic runs in dyadic.EXACT_DECIMAL, never in the caller's
+decimal context.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import islice
 
-from .dyadic import DyadicRational
+from .dyadic import EXACT_DECIMAL, DyadicRational
 from .errors import InvalidHorizonError, InvalidIndexError
 from .pattern import CorrelationSet, Pattern, correlation_set
 
@@ -85,7 +102,7 @@ def occurrence_counts(p: Pattern, horizon: int) -> OccurrenceCounts:
     """
     if horizon < 0:
         raise InvalidHorizonError(f"horizon must be >= 0, got {horizon}")
-    return _advance(OccurrenceCounts(p, 0, (1,), (0,)), horizon)
+    return _collect(p, (1,), (0,), horizon)
 
 
 def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
@@ -98,24 +115,72 @@ def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
         raise InvalidHorizonError(
             f"cannot shrink horizon {counts.horizon} to {horizon}"
         )
-    return _advance(counts, horizon)
+    return _collect(counts.pattern, counts.sigma, counts.tau, horizon)
 
 
-def _advance(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
-    p = counts.pattern
+def _collect(
+    p: Pattern, sigma: tuple[int, ...], tau: tuple[int, ...], horizon: int
+) -> OccurrenceCounts:
+    steps = islice(_counts(p, sigma, tau), horizon + 1 - len(sigma))
+    all_sigma, all_tau = list(sigma), list(tau)
+    for s, t in steps:
+        all_sigma.append(s)
+        all_tau.append(t)
+    return OccurrenceCounts(p, horizon, tuple(all_sigma), tuple(all_tau))
+
+
+def _counts(
+    p: Pattern, sigma: Sequence[int] = (1,), tau: Sequence[int] = (0,)
+) -> Iterator[tuple[int, int]]:
+    """Yield (sigma_n, tau_n) for every n past the counts given, without end.
+
+    sigma and tau hold the counts from n = 0; only their last m terms are
+    read.  The defaults are the counts at n = 0, so n = 1 comes first.
+    """
     m = len(p)
     proper = correlation_set(p).overlap_lengths()[:-1]
-    sigma = list(counts.sigma)
-    tau = list(counts.tau)
-    for n in range(counts.horizon + 1, horizon + 1):
-        t = 0
-        if n >= m:  # the expansion at n - m
-            t = sigma[n - m]
-            for j in proper:
-                t -= tau[n - m + j]
-        tau.append(t)
-        sigma.append((sigma[n - 1] << 1) - t)
-    return OccurrenceCounts(p, horizon, tuple(sigma), tuple(tau))
+    last_sigma, last_tau = _window(m, sigma, 0), _window(m, tau, 0)
+    while True:
+        t = last_sigma[0]
+        for j in proper:
+            t -= last_tau[j]
+        s = (last_sigma[-1] << 1) - t
+        last_sigma.append(s)
+        last_tau.append(t)
+        yield s, t
+
+
+def _scaled_counts(p: Pattern) -> Iterator[tuple[Decimal, Decimal]]:
+    """Yield (sigma_n * 5**n, tau_n * 5**n) as exact Decimals for n = 1, 2, ...
+
+    The same engine as _counts with per-toss weight 5, in EXACT_DECIMAL.
+    """
+    exact = EXACT_DECIMAL
+    m = len(p)
+    top = exact.power(5, m)
+    proper = correlation_set(p).overlap_lengths()[:-1]
+    weights = [(j, exact.power(5, m - j)) for j in proper]
+    zero = Decimal(0)
+    last_sigma, last_tau = _window(m, [Decimal(1)], zero), _window(m, [zero], zero)
+    while True:
+        t = exact.multiply(top, last_sigma[0])
+        for j, weight in weights:
+            t = exact.subtract(t, exact.multiply(weight, last_tau[j]))
+        s = exact.subtract(exact.scaleb(last_sigma[-1], 1), t)
+        last_sigma.append(s)
+        last_tau.append(t)
+        yield s, t
+
+
+def _window(m: int, terms: Sequence, zero) -> deque:
+    """The last m terms, n - m .. n - 1, while the engine computes term n.
+
+    Index j holds term n - m + j.  Zeros stand in for n < 0, so the
+    expansion gives tau_n = 0 for 0 < n < m by itself.
+    """
+    window = deque([zero] * m, maxlen=m)
+    window.extend(terms[-m:])
+    return window
 
 
 # Closed forms for the four families with classical answers.  Each maps the
@@ -169,11 +234,14 @@ def mean_via_sigma_series(p: Pattern, horizon: int) -> DyadicRational:
     The full series equals the expected waiting time; partial sums increase
     monotonically toward it, and the caller judges convergence from the
     exact residual (the series is a verification path, the closed form is
-    the source of truth).
+    the source of truth).  The sum is taken as the engine runs, so only its
+    last few terms and the running sum are held.
     """
-    total = 0
-    for s in occurrence_counts(p, horizon).sigma:
-        total = 2 * total + s  # Horner: sum of sigma_n * 2**(horizon - n)
+    if horizon < 0:
+        raise InvalidHorizonError(f"horizon must be >= 0, got {horizon}")
+    total = 1  # sigma_0
+    for s, _ in islice(_counts(p), horizon):
+        total = (total << 1) + s  # Horner: sum of sigma_n * 2**(horizon - n)
     return DyadicRational(total, horizon)
 
 

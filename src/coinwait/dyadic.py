@@ -1,4 +1,4 @@
-"""Exact dyadic rationals k / 2**e, and their exact decimal rendering.
+"""Exact dyadic rationals k / 2**e, and their exact text renderings.
 
 Every probability attached to a fair coin is dyadic, and this type holds
 one in the canonical form where the numerator is odd (or zero) whenever
@@ -8,15 +8,18 @@ floating point anywhere: they are fractions.Fraction arithmetic on the
 two values, taken only with an int or another dyadic, and a sum or
 difference comes back in canonical form.
 
-A dyadic always has a terminating decimal expansion, k / 2**e =
-k * 5**e / 10**e, and this module owns the one rule that writes it out:
-form the exact k * 5**e in base 10, shift the point e places, drop the
-trailing zeros and print it in plain notation (decimal_text).  All of it
-runs in EXACT_DECIMAL, a decimal context with unbounded precision and
+This module owns the two rules that write a dyadic out, and both take a
+bare numerator and exponent, so a caller need not build a DyadicRational
+per value.  fraction_text reduces k / 2**e to lowest terms by the 2-adic
+valuation of k and writes "k/2**e" with str(), which Python computes in
+quadratic time for a big int and refuses past its int_max_str_digits
+limit (the CLI lifts that limit while it writes).  decimal_text writes
+the terminating decimal expansion k / 2**e = k * 5**e / 10**e from the
+exact k * 5**e in base 10: shift the point e places, drop the trailing
+zeros and print it in plain notation, with no str() of a big int.  All of
+that runs in EXACT_DECIMAL, a decimal context with unbounded precision and
 exponent range in which Inexact and Rounded are trapped, so a step that
-would lose a digit raises instead of rounding.  Rendering this way never
-converts a big int to a string, which Python does in quadratic time and
-refuses past its int_max_str_digits limit.
+would lose a digit raises instead of rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import operator
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["DyadicRational", "EXACT_DECIMAL", "decimal_text"]
+__all__ = ["DyadicRational", "EXACT_DECIMAL", "decimal_text", "fraction_text"]
 
 EXACT_DECIMAL = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -51,6 +54,25 @@ def decimal_text(scaled: Decimal, exponent: int) -> str:
     """
     shifted = scaled.scaleb(-exponent, EXACT_DECIMAL)
     return format(shifted.normalize(EXACT_DECIMAL), "f")
+
+
+def _lowest_terms(numerator: int, exponent: int) -> tuple[int, int]:
+    """numerator / 2**exponent with an odd numerator, or (0, 0), where possible."""
+    if numerator == 0:
+        return 0, 0
+    # numerator & -numerator isolates the lowest set bit, also when negative.
+    shift = min((numerator & -numerator).bit_length() - 1, exponent)
+    return numerator >> shift, exponent - shift
+
+
+def fraction_text(numerator: int, exponent: int) -> str:
+    """Write numerator / 2**exponent as 'k/2**e' in lowest terms, or 'k'.
+
+    >>> fraction_text(12, 5), fraction_text(-8, 3), fraction_text(0, 7)
+    ('3/8', '-1', '0')
+    """
+    k, e = _lowest_terms(numerator, exponent)
+    return f"{k}/{1 << e}" if e else str(k)
 
 
 def _exact(op):
@@ -83,15 +105,7 @@ class DyadicRational:
     def __init__(self, numerator: int, exponent: int = 0):
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        num = int(numerator)
-        exp = int(exponent)
-        if num == 0:
-            exp = 0
-        else:
-            # num & -num isolates the lowest set bit, also for negative num.
-            shift = min((num & -num).bit_length() - 1, exp)
-            num >>= shift
-            exp -= shift
+        num, exp = _lowest_terms(int(numerator), int(exponent))
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", exp)
 
@@ -127,9 +141,7 @@ class DyadicRational:
 
     def fraction_str(self) -> str:
         """Render as 'k/2**e' in lowest terms, or plain 'k' for integers."""
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.exponent}"
+        return fraction_text(self.numerator, self.exponent)
 
     def decimal_str(self) -> str:
         """Exact terminating decimal expansion (dyadics always have one)."""

@@ -5,6 +5,10 @@ dicts, with none of the library's machinery, so that agreement between the
 two sides is meaningful evidence rather than the same code twice.
 """
 
+import csv
+import io
+import json
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -112,6 +116,52 @@ def reference_decimal(numerator: int, exponent: int) -> str:
     digits = str(abs(numerator) * 5**exponent).rjust(exponent + 1, "0")
     sign = "-" if numerator < 0 else ""
     return f"{sign}{digits[:-exponent]}.{digits[-exponent:]}"
+
+
+def reference_dist(typed: str, horizon: int, fmt: str) -> str:
+    """The whole output of `coinwait dist typed --horizon horizon --format fmt`.
+
+    typed is the pattern as given on the command line, in 0/1 or H/T.  The
+    counts come from the prefix automaton; each row's decimals are products
+    of big ints written with str() (reference_decimal) and its fraction is
+    str() of a Fraction.  JSON is json.dumps(indent=2) of the whole payload,
+    with ints past 2**53 - 1 as strings; CSV goes through csv.writer; text
+    aligns the columns, right-justifying n and tau.
+    """
+    pattern = typed.strip().translate(str.maketrans("HhTt", "1100"))
+    m = len(pattern)
+    sigma, tau = automaton_sigma_tau(pattern, horizon)
+    header = ["n", "tau", "probability", "decimal", "cumulative", "residual"]
+    rows = [
+        [n, tau[n], str(Fraction(tau[n], 2**n)), reference_decimal(tau[n], n),
+         reference_decimal(2**n - sigma[n], n), reference_decimal(sigma[n], n)]
+        for n in range(m, horizon + 1)
+    ]
+    residual = str(Fraction(sigma[horizon], 2**horizon))
+    if fmt == "json":
+        safe = [[n, t if t < 2**53 else str(t), *rest] for n, t, *rest in rows]
+        payload = {
+            "command": "dist",
+            "inputs": {"pattern": typed, "horizon": horizon},
+            "results": {"rows": [dict(zip(header, row)) for row in safe],
+                        "residual": residual},
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([header, *rows])
+        return buffer.getvalue()
+    cells = [header] + [[str(cell) for cell in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    heads_tails = pattern.translate(str.maketrans("10", "HT"))
+    lines = [f"pattern {pattern} ({heads_tails}), horizon {horizon}"]
+    for row in cells:
+        padded = [cell.rjust(w) if i < 2 else cell.ljust(w)
+                  for i, (cell, w) in enumerate(zip(row, widths))]
+        lines.append("  ".join(padded).rstrip())
+    lines += ["", f"mass not yet seen by the horizon: {residual} = {rows[-1][-1]}"]
+    return "".join(line + "\n" for line in lines)
 
 
 def operational_correlation(pattern: str) -> tuple[int, ...]:

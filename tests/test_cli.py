@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface, run in process."""
 
+import contextlib
 import csv
+import decimal
 import io
 import json
 import sys
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwait import (
     CorrelationSet,
@@ -24,7 +28,7 @@ from coinwait import (
 from coinwait import cli, counting
 from coinwait.cli import main
 
-from _oracles import conditioned_sigma_tau, reference_decimal
+from _oracles import conditioned_sigma_tau, reference_decimal, reference_dist
 
 
 def run(argv, capsys):
@@ -317,6 +321,81 @@ def test_dist_holds_under_one_and_a_half_times_its_output(fmt, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 1.5 * sink.chars
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dist_streams_csv_and_json_rows(fmt, monkeypatch):
+    # Each row is written as it is computed, so the peak is about one row
+    # and the engines' last few terms.  Holding the rows' cells takes about
+    # one copy of the output.
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["dist", "11", "--horizon", "4000", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 0.1 * sink.chars
+
+
+def _dist_lines(pattern, horizon, fmt):
+    """dist's output as lines with their ends, so a mismatch reports one line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["dist", pattern, "--horizon", str(horizon), "--format", fmt])
+    assert code == 0
+    return out.getvalue().splitlines(keepends=True)
+
+
+def _reference_lines(pattern, horizon, fmt):
+    return reference_dist(pattern, horizon, fmt).splitlines(keepends=True)
+
+
+def _json_lines(lines):
+    return (json.dumps(json.loads("".join(lines)), indent=2) + "\n").splitlines(True)
+
+
+@pytest.mark.parametrize(
+    "pattern, horizon, fmt",
+    [("111111", 2000, "json"), ("10101", 1000, "text"), ("110", 500, "csv")],
+)
+def test_dist_far_output_matches_reference_renderer(pattern, horizon, fmt):
+    # The benchmark's three dist commands, far past the golden files' horizons.
+    lines = _dist_lines(pattern, horizon, fmt)
+    assert lines == _reference_lines(pattern, horizon, fmt)
+    if fmt == "json":
+        assert lines == _json_lines(lines)
+
+
+@st.composite
+def _typed_patterns(draw):
+    symbols = draw(st.sampled_from(["01", "HT", "ht"]))
+    typed = draw(st.text(symbols, min_size=1, max_size=12))
+    return typed, draw(st.integers(len(typed), 300))
+
+
+@given(_typed_patterns())
+@settings(max_examples=40, deadline=None)
+def test_dist_output_matches_reference_renderer(case):
+    typed, horizon = case
+    for fmt in ("text", "csv", "json"):
+        lines = _dist_lines(typed, horizon, fmt)
+        assert lines == _reference_lines(typed, horizon, fmt), fmt
+        if fmt == "json":
+            assert lines == _json_lines(lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_dist_ignores_the_callers_decimal_context(fmt):
+    # A context with 5 digits rounds every longer result, and like the
+    # default it does not trap Inexact, so arithmetic done in the caller's
+    # context would change the digits without an error.
+    with decimal.localcontext():
+        decimal.getcontext().prec = 5
+        lines = _dist_lines("10101", 200, fmt)
+    assert lines == _reference_lines("10101", 200, fmt)
 
 
 # -- simulate ----------------------------------------------------------

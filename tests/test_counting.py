@@ -1,6 +1,8 @@
 """Exact avoidance/first-completion counting and its identities."""
 
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,37 @@ def test_series_mean_gap_is_the_avoidance_tail():
         step = mean_via_sigma_series(p, horizon + 1)
         counts = occurrence_counts(p, horizon + 1)
         assert step - partial == DyadicRational(counts.sigma[horizon + 1], horizon + 1)
+
+
+@pytest.mark.parametrize("horizon", [2000, 10000])
+def test_series_mean_holds_a_window_not_the_sequence(horizon):
+    # The sum runs over the engine's last 2m + 1 terms, each no longer than
+    # the result, so the peak is a fixed number of result-sized ints however
+    # far the horizon is.  Holding every sigma_n would take 13.4 MB at 10000.
+    p = parse_pattern("111111")
+    mean_via_sigma_series(p, 10)  # the overlap set's own allocations
+    tracemalloc.start()
+    try:
+        result = mean_via_sigma_series(p, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (result.numerator.bit_length() + 7) // 8
+    assert peak <= 4 * (2 * len(p) + 1) * size + 16_384
+
+
+def test_series_mean_rejects_a_negative_horizon():
+    with pytest.raises(InvalidHorizonError):
+        mean_via_sigma_series(parse_pattern("11"), -1)
+
+
+@given(st.text("01", min_size=1, max_size=12), st.integers(0, 200))
+@settings(max_examples=60, deadline=None)
+def test_scaled_engine_is_the_counts_times_five_to_the_n(text, horizon):
+    sigma, tau = automaton_sigma_tau(text, horizon)
+    scaled = islice(counting._scaled_counts(parse_pattern(text)), horizon)
+    for n, (s, t) in enumerate(scaled, 1):
+        assert (s, t) == (sigma[n] * 5**n, tau[n] * 5**n)
 
 
 # -- identities --------------------------------------------------------
