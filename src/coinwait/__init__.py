@@ -6,13 +6,13 @@ self-overlap structure, cross-checked by an exact counting engine
 (avoidance and first-occurrence counts), and validated against
 brute-force enumeration and Monte Carlo simulation.
 
-Each module declares its public names in its own __all__; the package
-exports all of them, and from dyadic only the DyadicRational type.
+Each module declares its public names in its own __all__, and the package
+exports all of them.
 """
 
-from . import counting, errors, oracle, pattern, table
+from . import counting, dyadic, errors, oracle, pattern, table
 from .counting import *
-from .dyadic import DyadicRational
+from .dyadic import *
 from .errors import *
 from .oracle import *
 from .pattern import *
@@ -21,8 +21,8 @@ from .table import *
 __version__ = "0.1.0"
 
 __all__ = [
-    "DyadicRational",
     *counting.__all__,
+    *dyadic.__all__,
     *errors.__all__,
     *oracle.__all__,
     *pattern.__all__,

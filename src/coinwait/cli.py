@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -175,10 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- the one record and its renderer ------------------------------------
 
 
-# A command's answer: JSON inputs and results, CSV header (keys of each row dict)
-# and rows, a callable that yields the text lines on demand, and the exit status.
-# dist gives its rows as an iterator of cell lists in header order instead, read
-# once as they are written (see _stream); it sets its other results after the last.
+# A command's answer: JSON inputs and results, CSV header and rows (each row a
+# list of cells in header order), a callable that yields the text lines on
+# demand, and the exit status.  dist gives its rows as an iterator, read once
+# as they are written; in JSON they are results["rows"] (see _stream), and dist
+# sets its other results after the last.
 _Record = namedtuple("_Record", "inputs results header rows text status")
 
 
@@ -192,9 +192,13 @@ def _json_safe(value):
     return value
 
 
-def _csv_cell(value):
-    # csv itself writes None as an empty cell and a float as its repr.
-    return ";".join(str(item) for item in value) if isinstance(value, list) else value
+def _csv_cell(value) -> str:
+    # No cell holds a comma, a quote or a line break, so none is quoted.
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
 
 
 def _aligned(rows, right=()) -> Iterator[str]:
@@ -210,17 +214,16 @@ def _aligned(rows, right=()) -> Iterator[str]:
 def _render(command: str, fmt: str, record: _Record, out) -> None:
     if fmt == "text":
         out.writelines(line + "\n" for line in record.text())
+    elif fmt == "csv":
+        out.write(",".join(record.header) + "\n")
+        for cells in record.rows:
+            out.write(",".join(map(_csv_cell, cells)) + "\n")
     elif isinstance(record.rows, Iterator):
-        _stream(command, fmt, record, out)
-    elif fmt == "json":
+        _stream(command, record, out)
+    else:
         payload = dict(command=command, inputs=record.inputs, results=record.results)
         json.dump(_json_safe(payload), out, indent=2)
         out.write("\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(record.header)
-        for row in record.rows:
-            writer.writerow([_csv_cell(row[key]) for key in record.header])
 
 
 def _json_numeral(cell) -> str:
@@ -229,21 +232,15 @@ def _json_numeral(cell) -> str:
     return str(cell) if abs(cell) <= _JSON_SAFE_INT else f'"{cell}"'
 
 
-def _stream(command: str, fmt: str, record: _Record, out) -> None:
-    """Write rows that come as an iterator of cell lists, each as it comes.
+def _stream(command: str, record: _Record, out) -> None:
+    """Write JSON rows that come as an iterator of cell lists, each as it comes.
 
     Every cell is an int or a numeral the command formatted itself (digits,
-    '.', '/', '-'), which JSON need not escape and CSV need not quote, so a
-    row is written from a fixed template in the bytes that json.dump with
-    indent=2 and csv.writer would give.  In JSON the rows are
-    results["rows"], ahead of the other results; the envelope around them
-    still goes through json.dumps, after the last row for its end.
+    '.', '/', '-'), which JSON need not escape, so a row is written from a
+    fixed template in the bytes that json.dump with indent=2 would give.
+    The rows are results["rows"], ahead of the other results; the envelope
+    around them still goes through json.dumps, after the last row for its end.
     """
-    if fmt == "csv":
-        out.write(",".join(record.header) + "\n")
-        for cells in record.rows:
-            out.write(",".join(map(str, cells)) + "\n")
-        return
 
     def envelope(results):
         payload = dict(command=command, inputs=record.inputs,
@@ -294,14 +291,15 @@ def _cmd_expect(args) -> _Record:
 
     header = [key for key in results if key != "heads_tails"]
     inputs = {"pattern": args.pattern, "stake": args.stake}
-    return _Record(inputs, results, header, [results], text, EXIT_OK)
+    row = [results[key] for key in header]
+    return _Record(inputs, results, header, [row], text, EXIT_OK)
 
 
 def _cmd_table(args) -> _Record:
     lo, hi = _checked_lengths(args.lengths, lowest=2)
     rows = waiting_time_table(range(lo, hi + 1), include_complements=args.all_patterns)
     results = [{k: getattr(row, k) for k in TableRow.__slots__} for row in rows]
-    flat = [{**row, "pattern": p} for row in results for p in row["patterns"]]
+    flat = [[row.length, row.average, p] for row in rows for p in row.patterns]
 
     def text():
         cells = [[row.length, row.average, " ".join(row.patterns)] for row in rows]
@@ -383,7 +381,8 @@ def _cmd_simulate(args) -> _Record:
         ])
 
     inputs = {"pattern": args.pattern, "trials": args.trials, "seed": args.seed}
-    return _Record(inputs, results, list(results), [results], text, EXIT_OK)
+    row = list(results.values())
+    return _Record(inputs, results, list(results), [row], text, EXIT_OK)
 
 
 def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
@@ -428,6 +427,10 @@ def _cmd_verify(args) -> _Record:
         )
     if args.oracle_n < 1:
         raise CoinwaitError(f"oracle-n must be >= 1, got {args.oracle_n}")
+    if args.oracle_n > ENUMERATION_CEILING:
+        raise CoinwaitError(
+            f"n={args.oracle_n} exceeds the enumeration ceiling {ENUMERATION_CEILING}"
+        )
     results = [
         _verify_one(p, args.horizon, args.oracle_n)
         for length in range(lo, hi + 1)
@@ -445,10 +448,11 @@ def _cmd_verify(args) -> _Record:
         ]
 
     header = [key for key in results[0] if key != "failures"]
+    rows = [[r[key] for key in header] for r in results]
     inputs = dict(lengths=f"{lo}..{hi}", horizon=args.horizon, oracle_n=args.oracle_n)
     status = EXIT_VERIFICATION_FAILED if failed else EXIT_OK
     summary = {"patterns": results, "all_ok": not failed}
-    return _Record(inputs, summary, header, results, text, status)
+    return _Record(inputs, summary, header, rows, text, status)
 
 
 _COMMANDS = {

@@ -29,7 +29,7 @@ import operator
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["DyadicRational", "EXACT_DECIMAL", "decimal_text", "fraction_text"]
+__all__ = ["DyadicRational"]
 
 EXACT_DECIMAL = decimal.Context(
     prec=decimal.MAX_PREC,

@@ -82,20 +82,12 @@ def parse_pattern(text: str) -> Pattern:
     trimmed = text.strip()
     if not trimmed:
         raise EmptyPatternError("empty pattern text")
-    alphabet: dict[str, int] | None = None
-    bits = []
+    # The first symbol picks the alphabet; one in neither fails as H/T.
+    alphabet = _BIT_ALPHABET if trimmed[0] in _BIT_ALPHABET else _COIN_ALPHABET
     for i, ch in enumerate(trimmed):
-        if alphabet is None:
-            if ch in _BIT_ALPHABET:
-                alphabet = _BIT_ALPHABET
-            elif ch in _COIN_ALPHABET:
-                alphabet = _COIN_ALPHABET
-            else:
-                raise InvalidSymbolError(ch, i)
         if ch not in alphabet:
             raise InvalidSymbolError(ch, i)
-        bits.append(alphabet[ch])
-    return Pattern(tuple(bits))
+    return Pattern(tuple(map(alphabet.__getitem__, trimmed)))
 
 
 def patterns_of_length(length: int, canonical: bool = True) -> Iterator[Pattern]:

@@ -164,6 +164,13 @@ def reference_dist(typed: str, horizon: int, fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def csv_rewritten(text: str) -> str:
+    """text read by csv.reader and written back by csv.writer."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    return buffer.getvalue()
+
+
 def operational_correlation(pattern: str) -> tuple[int, ...]:
     """Overlap coefficients extracted the roundabout way.
 

@@ -28,7 +28,9 @@ from coinwait import (
 from coinwait import cli, counting
 from coinwait.cli import main
 
-from _oracles import conditioned_sigma_tau, reference_decimal, reference_dist
+from _oracles import (
+    conditioned_sigma_tau, csv_rewritten, reference_decimal, reference_dist
+)
 
 
 def run(argv, capsys):
@@ -107,6 +109,25 @@ def test_expect_csv(capsys):
     ]
     assert rows[1][0] == "110"
     assert rows[1][3] == "8"
+
+
+@given(
+    bits=st.lists(st.sampled_from("01"), min_size=1, max_size=70).map("".join),
+    heads_tails=st.booleans(),
+    stake=st.one_of(st.none(), st.just(0), st.integers(2**53 + 1, 2**80)),
+)
+@settings(max_examples=60, deadline=None)
+def test_expect_csv_needs_no_quoting(bits, heads_tails, stake):
+    # The CLI joins CSV cells with commas and quotes none; that is right only
+    # while csv.writer would write the same bytes and no cell holds a comma.
+    typed = bits.translate(str.maketrans("01", "TH")) if heads_tails else bits
+    argv = ["expect", typed, "--format", "csv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ([] if stake is None else ["--stake", str(stake)]))
+    assert code == 0
+    assert csv_rewritten(out.getvalue()) == out.getvalue()
+    assert [len(row) for row in csv.reader(io.StringIO(out.getvalue()))] == [8, 8]
 
 
 def test_expect_rejects_bad_pattern(capsys):
@@ -549,12 +570,21 @@ def test_verify_tallies_each_pattern_once_at_its_top_n(capsys, monkeypatch):
     assert all(n == max(m, 10) for m, n in calls)
 
 
-def test_verify_refuses_an_oracle_n_above_the_ceiling_before_enumerating(capsys):
-    code, out, err = run(
-        ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", "40"], capsys
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: n=40 exceeds the enumeration ceiling 24\n"
+def test_verify_refuses_an_oracle_n_above_the_ceiling_before_enumerating(
+    capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked a pattern before refusing --oracle-n")
+
+    for name in ("verify_identities", "exhaustive_tally"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (
+        ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", "40"],
+        ["verify", "--lengths", "1..12", "--oracle-n", "40"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: n=40 exceeds the enumeration ceiling 24\n"
 
 
 def test_verify_rejects_an_oracle_n_below_one(capsys):

@@ -13,6 +13,7 @@ Record the files again only when an output change is intended:
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -24,6 +25,8 @@ import pytest
 
 from coinwait import CorrelationSet, IdentityReport, correlation_set, occurrence_counts
 from coinwait import cli, counting
+
+from _oracles import csv_rewritten
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +125,11 @@ def test_cli_bytes_match_golden(case):
     assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
     assert err == want["stderr"]
     assert code == want["exit"]
+    if case.endswith(".csv"):
+        # no cell needs quoting: csv.writer would write the same bytes, and
+        # every row has as many cells as the header
+        assert csv_rewritten(out) == out
+        assert len({len(row) for row in csv.reader(io.StringIO(out))}) == 1
 
 
 @pytest.mark.parametrize(

@@ -75,19 +75,19 @@ def test_parse_rejects_empty_and_blank():
 
 
 def test_parse_rejects_unknown_symbol_with_position():
-    with pytest.raises(InvalidSymbolError) as exc:
-        parse_pattern(" 10x1")
-    assert exc.value.symbol == "x"
-    assert exc.value.index == 2  # position in the trimmed text
+    # index is the position in the trimmed text; a first symbol in neither
+    # alphabet is refused at index 0
+    for text, symbol, index in ((" 10x1", "x", 2), ("x1", "x", 0), ("2", "2", 0)):
+        with pytest.raises(InvalidSymbolError) as exc:
+            parse_pattern(text)
+        assert (exc.value.symbol, exc.value.index) == (symbol, index)
 
 
 def test_parse_rejects_mixed_alphabets():
-    with pytest.raises(InvalidSymbolError) as exc:
-        parse_pattern("1H")
-    assert exc.value.symbol == "H"
-    assert exc.value.index == 1
-    with pytest.raises(InvalidSymbolError):
-        parse_pattern("T0")
+    for text, symbol in (("1H", "H"), ("T0", "0"), ("H1", "1"), (" h0", "0")):
+        with pytest.raises(InvalidSymbolError) as exc:
+            parse_pattern(text)
+        assert (exc.value.symbol, exc.value.index) == (symbol, 1)
 
 
 @given(bit_tuples)
