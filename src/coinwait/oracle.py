@@ -40,6 +40,16 @@ between the last two completions, doubled after a block without one, so
 few scanned rounds are thrown away.  Both modes read the same stream the
 same way, so a seed gives the same games whichever mode plays them.
 
+No game is tracked by number: the only per-game state is the live games'
+windows, and a call keeps ended[t], the number of games that ended on toss
+t.  From the exact integers S = sum of t * ended[t] and Q = sum of
+t**2 * ended[t] over `trials` games, the statistics follow one rule: the
+sample mean is S / trials, rounded once; the standard error of the mean
+is the correctly rounded sqrt((trials * Q - S**2) / (trials**2 *
+(trials - 1))), and 0.0 for one trial; the longest game is the largest t.
+So they depend only on the multiset of game lengths, not on which game
+had which length or on any order of summation.
+
 numpy is imported inside the functions that use it, so it loads on the
 first simulation or tally.  Importing coinwait, and the `expect`, `table`
 and `dist` commands, never load it: numpy's import is most of a fresh
@@ -85,7 +95,8 @@ _BLOCK_TOSSES = 1 << 15
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the arrays hold every game at once: 22-29 B per trial at peak.
+# so the live windows and the toss stream hold every game at once: 9-11 B
+# per trial at peak, measured with tracemalloc.
 _MAX_TRIALS = 10**7
 
 
@@ -219,6 +230,9 @@ def simulate(
     pattern.  All games read one PCG64 toss stream seeded with `seed`,
     round-robin over the games still live (see the module docstring), so
     identical (pattern, trials, seed) always reproduce the identical result.
+    The statistics are computed from exact integer sums by the rule the
+    module docstring states: the mean is rounded once and the standard
+    error is the correctly rounded root.
 
     A game still live after `max_tosses` tosses raises
     SimulationRunawayError.  The default cap is m * k tosses with
@@ -248,12 +262,14 @@ def simulate(
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    lengths = np.zeros(trials, dtype=np.int64)
-    _play(p, lengths, _Tosses(rng), max_tosses)
+    ended = _play(p, trials, _Tosses(rng), max_tosses)
 
-    mean = float(lengths.mean())
+    total = sum(t * k for t, k in ended.items())
+    squares = sum(t * t * k for t, k in ended.items())
     if trials > 1:
-        stderr = float(lengths.std(ddof=1) / math.sqrt(trials))
+        stderr = _sqrt_of_ratio(
+            trials * squares - total * total, trials * trials * (trials - 1)
+        )
     else:
         stderr = 0.0  # one observation carries no spread estimate
     return SimulationResult(
@@ -261,10 +277,28 @@ def simulate(
         trials=trials,
         seed=seed,
         generator="pcg64",
-        sample_mean=mean,
+        sample_mean=total / trials,
         sample_stderr=stderr,
-        max_game_length_seen=int(lengths.max()),
+        max_game_length_seen=max(ended),
     )
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for ints num >= 0 and den > 0.
+
+    num / den is scaled by 4**-e so that its integer root has 55 bits or
+    more, two past a double's 53.  That root, with its last bit set when it
+    is inexact (round to odd), rounds to the same double as the exact root,
+    and root * 2**e is formed with that one rounding.
+    """
+    e = (num.bit_length() - den.bit_length() - 109) // 2
+    if e >= 0:
+        den <<= 2 * e
+    else:
+        num <<= -2 * e
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << e) if e >= 0 else root / (1 << -e)
 
 
 def _runaway(max_tosses: int) -> SimulationRunawayError:
@@ -296,82 +330,81 @@ class _Tosses:
 
 
 def _play(
-    p: Pattern, lengths: np.ndarray, stream: _Tosses, max_tosses: int
-) -> None:
-    """Fill lengths[i] with the length of game i.
+    p: Pattern, trials: int, stream: _Tosses, max_tosses: int
+) -> dict[int, int]:
+    """Play `trials` games; return {toss: games that ended on that toss}.
 
     Rounds are single vectorised steps until every live game has m - 1
     tosses and live games x m fits in the block budget; _scan_blocks plays
     the rest.  window holds each live game's last m tosses as an integer
     of the narrowest unsigned type that fits them (1 B up to 8 tosses),
-    first toss most significant, aligned with the game numbers in alive;
-    both shrink only in rounds where some game completes.  A boolean mask
-    compacts them fastest when few games finish, since it copies long kept
-    runs whole, and an index array when many do, since a mask then branches
-    on every short run.
+    first toss most significant, in rank order; it shrinks only in rounds
+    where some game completes.  A boolean mask compacts it fastest when few
+    games finish, since it copies long kept runs whole, and an index array
+    when many do, since a mask then branches on every short run.
     """
     import numpy as np
 
     m = len(p)
     word = np.min_scalar_type((1 << m) - 1).type  # unsigned, m bits or more
     pval, mask = word(int(str(p), 2)), word((1 << m) - 1)
-    alive = np.arange(lengths.size, dtype=np.int32)
-    window = np.zeros(lengths.size, dtype=word)
+    window = np.zeros(trials, dtype=word)
+    ended: dict[int, int] = {}
     tosses = 0
-    while alive.size * m > _BLOCK_TOSSES or tosses < m - 1:
+    while window.size * m > _BLOCK_TOSSES or tosses < m - 1:
         if tosses >= max_tosses:
             raise _runaway(max_tosses)
         tosses += 1
         window += window  # the shift by one: uint8 shifts have no vector loop
-        window |= stream.peek(alive.size)
-        stream.at += alive.size
+        window |= stream.peek(window.size)
+        stream.at += window.size
         window &= mask
         if tosses >= m:
             hit = window == pval
-            done = np.count_nonzero(hit)
+            done = int(np.count_nonzero(hit))  # a Python int: t*t*k must not wrap
             if done:
-                lengths[alive.compress(hit)] = tosses
-                if done * 32 < alive.size:  # faster below about 1 in 25
-                    keep = ~hit
-                    alive, window = alive[keep], window[keep]
+                ended[tosses] = done
+                if done * 32 < window.size:  # faster below about 1 in 25
+                    window = window[~hit]
                 else:
-                    keep = np.flatnonzero(~hit)
-                    alive, window = alive.take(keep), window.take(keep)
+                    window = window.take(np.flatnonzero(~hit))
     # The last m - 1 tosses of each live game, oldest first, one row each.
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)
-    _scan_blocks(
-        tuple(map(int, p.bits)), history, alive, lengths, stream, tosses, max_tosses
+    ended.update(
+        _scan_blocks(tuple(map(int, p.bits)), history, stream, tosses, max_tosses)
     )
+    return ended
 
 
 def _scan_blocks(
     bits: tuple[int, ...],
     history: np.ndarray,
-    alive: np.ndarray,
-    lengths: np.ndarray,
     stream: _Tosses,
     tosses: int,
     max_tosses: int,
-) -> None:
+) -> dict[int, int]:
     """Finish the live games block by block, settling one round per block.
 
-    Row q of a block holds round tosses + q + 1 for every live game: the
-    stream's next rounds x k tosses, peeked, not read.  Stacked under each
-    game's last m - 1 tosses, the game completes in that round when rows
-    q .. q + m - 1 spell the pattern: m boolean ANDs find every completing
-    (round, game) cell of the block at once.  Only the rounds up to the
-    first completing one are read; the rest stay in the stream, so a block
-    has as many rounds as passed between the last two completions, twice
-    as many after a block without one, at most _BLOCK_TOSSES // k.  The
-    negated tape is built only for a pattern with a tail.
+    history holds the last m - 1 tosses of each of the k live games, one
+    column per game in rank order, so k is its width; the result counts
+    the games that end on each toss, as _play's does.  Row q of a block
+    holds round tosses + q + 1 for every live game: the stream's next
+    rounds x k tosses, peeked, not read.  Stacked under history, the game
+    completes in that round when rows q .. q + m - 1 spell the pattern: m
+    boolean ANDs find every completing (round, game) cell of the block at
+    once.  Only the rounds up to the first completing one are read; the
+    rest stay in the stream, so a block has as many rounds as passed
+    between the last two completions, twice as many after a block without
+    one, at most _BLOCK_TOSSES // k.  The negated tape is built only for a
+    pattern with a tail.
     """
     import numpy as np
 
     m = len(bits)
+    ended: dict[int, int] = {}
     rounds, since = 1, 0  # this block's rounds; rounds since a game completed
-    while alive.size:
-        k = alive.size
+    while k := history.shape[1]:
         rounds = min(rounds, _BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
@@ -393,6 +426,6 @@ def _scan_blocks(
         stream.at += (q + 1) * k
         rounds, since = since + q + 1, 0
         keep = ~hit[q]
-        lengths[alive[hit[q]]] = tosses
-        alive = alive[keep]
+        ended[tosses] = int(np.count_nonzero(hit[q]))
         history = tape[q + 1 : q + m].compress(keep, axis=1)
+    return ended

@@ -8,6 +8,7 @@ two sides is meaningful evidence rather than the same code twice.
 import csv
 import io
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -275,7 +276,10 @@ def per_toss_simulation(
     a PCG64 generator seeded with `seed`, and shifts it into that game's
     window of its last m tosses.  Returns (sample mean, standard error of
     the mean, longest game), or None when some game is still live after
-    `max_tosses` tosses (no limit when None).
+    `max_tosses` tosses (no limit when None).  The statistics come from the
+    exact sums of the game lengths and of their squares: the mean is one
+    int division, the standard error the square root of the unbiased
+    variance over trials, taken to 100 digits and then made a float.
     """
     m = len(pattern)
     pval = np.uint64(int(pattern, 2))
@@ -304,6 +308,15 @@ def per_toss_simulation(
                 alive = alive[live]
                 window = window[live]
 
-    mean = float(lengths.mean())
-    stderr = float(lengths.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr, int(lengths.max())
+    played = lengths.tolist()
+    total = sum(played)
+    squares = sum(t * t for t in played)
+    stderr = 0.0
+    if trials > 1:
+        with localcontext() as ctx:
+            ctx.prec = 100
+            variance = Decimal(trials * squares - total * total) / (
+                trials * trials * (trials - 1)
+            )
+            stderr = float(variance.sqrt())
+    return total / trials, stderr, max(played)

@@ -688,6 +688,79 @@ def test_usage_errors_exit_one(capsys):
     assert run(["expect", "11", "--format", "yaml"], capsys)[0] == 1
 
 
+def _near(*limits):
+    """Numerals one below, at and one past each limit."""
+    return st.sampled_from(sorted({v + d for v in limits for d in (-1, 0, 1)}))
+
+
+# text argparse's int() refuses, or reads as a digit ("\u0663" is 3), and a
+# numeral past Python's int <-> str digit limit
+_NOT_A_NUMERAL = st.sampled_from(["", "x", "1.5", "1e3", "\u0663", "--", "9" * 5000])
+_SHORT_PATTERN = st.one_of(
+    st.text("01", min_size=1, max_size=6),
+    st.text("HTht", min_size=1, max_size=6),
+    st.text("01HTht2 -", max_size=6),  # mixed alphabets, bad symbols, blanks
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+
+    def option(name, numerals):
+        if draw(st.booleans()):
+            argv.extend([name, str(draw(st.one_of(numerals, _NOT_A_NUMERAL)))])
+
+    def lengths(ends):
+        lo, hi = draw(ends), draw(ends)
+        text = draw(st.sampled_from([f"{lo}..{hi}", str(hi), f"{lo}..", "..", "a..b"]))
+        argv.extend(["--lengths", text])
+        return hi
+
+    if command == "expect":
+        # the exact answer is cheap at any length, so long patterns run too
+        argv.append(draw(st.one_of(_SHORT_PATTERN, st.text("01", min_size=60, max_size=70))))
+        option("--stake", st.one_of(_near(0), st.just(2**64)))
+    elif command == "table":
+        lengths(_near(2, cli._MAX_LENGTH))
+        if draw(st.booleans()):
+            argv.append("--all-patterns")
+    elif command == "dist":
+        argv.append(draw(_SHORT_PATTERN))
+        option("--horizon", _near(0, len(argv[1]), 40))
+    elif command == "simulate":
+        # a pattern past 64 tosses is refused; one just inside would never end
+        argv.append(draw(st.one_of(_SHORT_PATTERN, st.text("01", min_size=65, max_size=70))))
+        option("--trials", st.sampled_from([-1, 0, 1, 2, 40, 10**7 + 1, 2**64]))
+        option("--seed", st.one_of(_near(0, 2**64), st.just(2**128)))
+    else:
+        # just inside the ceiling is drawn for table only: it is the same
+        # check, and verify takes 0.4 s at length 12
+        hi = lengths(st.one_of(_near(0, 1), st.just(cli._MAX_LENGTH + 1)))
+        option("--horizon", _near(0, 2 * hi))
+        option("--oracle-n", _near(0, cli.ENUMERATION_CEILING))
+    if draw(st.booleans()):
+        argv.extend(["--format", draw(st.sampled_from(["text", "csv", "json", "xml"]))])
+    argv.extend(draw(st.sampled_from([[], ["-h"], ["--bogus"], ["extra"]])))
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=300, deadline=None)
+def test_no_argv_ends_in_a_traceback(argv):
+    # every refusal is one line and an exit code, never an exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and -h
+            code = exc.code
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
 def test_readme_expect_sample_is_what_the_cli_prints(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     prompt = "$ coinwait expect HH --stake 5\n"

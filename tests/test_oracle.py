@@ -1,5 +1,6 @@
 """Brute-force enumeration and Monte Carlo simulation cross-checks."""
 
+import decimal
 import random
 import tracemalloc
 from functools import lru_cache
@@ -212,15 +213,37 @@ def test_simulate_rejects_bad_inputs():
 
 @pytest.mark.parametrize("text, trials", [("110", 10**6), ("111111", 2 * 10**5)])
 def test_simulate_memory_per_trial(text, trials):
-    # lengths (8 B), ranks (4 B), one-byte windows, the toss stream and one
-    # round's compaction: 28.8 and 21.8 B per game at peak
+    # no per-game number or length, only one-byte windows, the toss stream
+    # and one round's compaction: 11.0 and 8.9 B per game at peak
     tracemalloc.start()
     try:
         simulate(parse_pattern(text), trials, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * trials
+    assert peak <= 14 * trials
+
+
+_WIDE = st.integers(2**300, 2**1200)
+
+
+@given(
+    num=st.one_of(
+        st.just(0),
+        st.integers(0, 2**64),
+        st.integers(0, 2**160).map(lambda r: r * r),  # perfect squares
+        _WIDE,
+    ),
+    den=st.one_of(st.integers(1, 2**64), _WIDE),  # a wide den makes tiny quotients
+)
+@settings(max_examples=300, deadline=None)
+def test_sqrt_of_ratio_is_correctly_rounded(num, den):
+    # a 100-digit root is within 1e-99 of the truth, relatively, so it rounds
+    # to the same double unless the truth is that close to a midpoint
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        expected = float((decimal.Decimal(num) / den).sqrt())
+    assert oracle._sqrt_of_ratio(num, den) == expected
 
 
 def test_runaway_guard_trips():
