@@ -48,8 +48,8 @@ _JSON_SAFE_INT = (1 << 53) - 1
 
 # table and verify enumerate the 2**(L-1) canonical patterns of each length L,
 # so each length past 12 at least doubles their cost.  For 2..12, table takes
-# 0.013 s and verify 0.5-0.8 s of CPU in process (shared 2-core VM, Python
-# 3.11.7, numpy 2.4.6).
+# 0.004-0.006 s (0.012-0.024 s with --all-patterns --format csv) and verify
+# 0.6-1.2 s of CPU in process (shared 2-core VM, Python 3.11.7, numpy 2.4.6).
 _MAX_LENGTH = 12
 
 

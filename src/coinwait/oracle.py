@@ -413,15 +413,15 @@ def _scan_blocks(
         hit = sides[bits[0]][:rounds].copy()
         for i in range(1, m):
             np.logical_and(hit, sides[bits[i]][i : i + rounds], out=hit)
-        completing = hit.any(axis=1)
-        if not completing.any():
+        first = int(hit.argmax())  # the first completing cell, in round order
+        if not hit.flat[first]:
             tosses += rounds
             stream.at += rounds * k
             history = tape[rounds:]
             since += rounds
             rounds *= 2
             continue
-        q = int(completing.argmax())
+        q = first // k
         tosses += q + 1
         stream.at += (q + 1) * k
         rounds, since = since + q + 1, 0

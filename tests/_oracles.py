@@ -192,6 +192,32 @@ def operational_correlation(pattern: str) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def overlap_table(
+    lengths, include_complements: bool
+) -> list[tuple[int, int, tuple[str, ...]]]:
+    """(length, average, patterns) rows by the overlap rule, code by code.
+
+    Each pattern of length L is its integer code v.  Its length-j prefix is
+    v >> (L - j) and its length-j suffix v & (2**j - 1), so its average is
+    2**L plus 2**j for every 1 <= j < L where the two agree; all L - 1
+    overlaps of every code are tested.  Rows are grouped as the table's are:
+    lengths in the order given, averages ascending, patterns ascending.
+    """
+    rows = []
+    for length in lengths:
+        groups: dict[int, list[str]] = {}
+        start = 0 if include_complements else 1 << (length - 1)
+        for v in range(start, 1 << length):
+            average = (1 << length) + sum(
+                1 << j
+                for j in range(1, length)
+                if v >> (length - j) == v & ((1 << j) - 1)
+            )
+            groups.setdefault(average, []).append(format(v, f"0{length}b"))
+        rows += [(length, a, tuple(groups[a])) for a in sorted(groups)]
+    return rows
+
+
 def longest_prefix_suffix_state(pattern: str, stream: str) -> int:
     """Matcher state after a toss stream, computed from the definition.
 

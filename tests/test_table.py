@@ -2,7 +2,7 @@
 
 import pytest
 
-from _oracles import operational_correlation
+from _oracles import operational_correlation, overlap_table
 from coinwait import (
     InvalidLengthError,
     complement,
@@ -118,7 +118,7 @@ def test_single_toss_table():
 
 @pytest.mark.parametrize("include_complements", [False, True], ids=["canonical", "all"])
 def test_every_average_is_the_overlap_sum_of_its_patterns(include_complements):
-    # The table reads overlaps off integer codes; here each average is
+    # The table adds a weight per period of each code; here each average is
     # recomputed from the KMP correlation set, and up to length 10 from the
     # overlaps found by trying every completion (2**m joins per pattern, so
     # lengths 11..14 would add minutes).
@@ -137,6 +137,22 @@ def test_every_average_is_the_overlap_sum_of_its_patterns(include_complements):
                 if length <= 10:
                     coeffs = operational_correlation(text)
                     assert sum(1 << j for j, c in enumerate(coeffs, 1) if c) == row.average
+
+
+@pytest.mark.parametrize("include_complements", [False, True], ids=["canonical", "all"])
+def test_every_row_to_length_16_follows_the_overlap_rule(include_complements):
+    # The table adds one weight per period a code has; the reference tests
+    # every overlap of every code and formats every code on its own.
+    rows = waiting_time_table(range(1, 17), include_complements=include_complements)
+    got = [(row.length, row.average, row.patterns) for row in rows]
+    assert got == overlap_table(range(1, 17), include_complements)
+
+
+def test_lengths_are_taken_in_the_order_given_with_repeats():
+    rows = waiting_time_table(iter([5, 3, 5]))
+    got = [(row.length, row.average, row.patterns) for row in rows]
+    assert got == overlap_table([5, 3, 5], include_complements=False)
+    assert [row.length for row in rows] == [5] * 6 + [3] * 3 + [5] * 6
 
 
 @pytest.mark.parametrize("lengths", [[3, 0], [-1]])
