@@ -322,8 +322,10 @@ class _Tosses:
         if self._ahead.size - self.at < k:
             import numpy as np
 
-            raw = self._raw(max(k, _BLOCK_TOSSES) // 2 + 1)
-            fresh = raw.astype("<u8", copy=False).view("<u4") >= 2**31
+            raw = self._raw(max(k, _BLOCK_TOSSES) // 64 + 1)
+            fresh = np.unpackbits(
+                raw.astype("<u8", copy=False).view(np.uint8), bitorder="little"
+            ).view(bool)
             self._ahead = np.concatenate((self._ahead[self.at :], fresh))
             self.at = 0
         return self._ahead[self.at : self.at + k]

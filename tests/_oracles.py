@@ -10,7 +10,7 @@ import io
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -293,14 +293,29 @@ def automaton_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int
     return sigma, tau
 
 
+def raw_word_tosses(seed: int):
+    """The simulator's toss stream from `seed`, one toss at a time.
+
+    Takes the raw 64-bit words of a PCG64 generator seeded with `seed`, a
+    batch at a time, and yields the bits of each word in turn, least
+    significant first, by plain int shifts: toss 64*w + i is bit i of word w.
+    """
+    raw = np.random.PCG64(seed).random_raw
+    while True:
+        for word in raw(256).tolist():
+            for i in range(64):
+                yield (word >> i) & 1
+
+
 def per_toss_simulation(
     pattern: str, trials: int, seed: int, max_tosses: int | None = None
 ) -> tuple[float, float, int] | None:
     """Monte Carlo games played one toss per live game per round.
 
-    Every round draws one fair bit for each live game, in trial order, from
-    a PCG64 generator seeded with `seed`, and shifts it into that game's
-    window of its last m tosses.  Returns (sample mean, standard error of
+    Every round takes the stream's next toss for each live game, in trial
+    order, from raw_word_tosses(seed), and shifts it into that game's
+    window of its last m tosses; the bits a round leaves in its word wait
+    for the next round.  Returns (sample mean, standard error of
     the mean, longest game), or None when some game is still live after
     `max_tosses` tosses (no limit when None).  The statistics come from the
     exact sums of the game lengths and of their squares: the mean is one
@@ -311,7 +326,7 @@ def per_toss_simulation(
     pval = np.uint64(int(pattern, 2))
     mask = np.uint64((1 << m) - 1)
     one = np.uint64(1)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    stream = raw_word_tosses(seed)
 
     lengths = np.zeros(trials, dtype=np.int64)
     # the live games, in trial order, and each one's window at the same index
@@ -322,7 +337,7 @@ def per_toss_simulation(
         tosses += 1
         if max_tosses is not None and tosses > max_tosses:
             return None
-        bits = rng.integers(0, 2, size=alive.size, dtype=np.uint64)
+        bits = np.fromiter(islice(stream, alive.size), np.uint64, alive.size)
         window <<= one
         window |= bits
         window &= mask

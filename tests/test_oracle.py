@@ -4,6 +4,7 @@ import decimal
 import random
 import tracemalloc
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from coinwait import (
 )
 from coinwait import oracle
 
-from _oracles import brute_sigma_tau, per_toss_simulation
+from _oracles import brute_sigma_tau, per_toss_simulation, raw_word_tosses
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -157,15 +158,15 @@ def test_tally_position_groups_at_small_chunks(monkeypatch, chunk_bits):
 # -- simulation --------------------------------------------------------
 
 
-def test_toss_stream_is_the_integers_stream():
-    # two tosses per raw word, low half first: the bits integers(0, 2)
-    # gives from the same seed, also across reads that split a word
+def test_toss_stream_is_the_raw_words_low_bit_first():
+    # toss 64*w + i is bit i of raw word w, also across reads that split a word
     stream = oracle._Tosses(np.random.Generator(np.random.PCG64(2026)))
-    reference = np.random.Generator(np.random.PCG64(2026))
-    for k in (1, 7, 2**15 + 3, 5):
-        expected = reference.integers(0, 2, size=k, dtype=np.uint64)
-        assert np.array_equal(stream.peek(k), expected.astype(bool))
-        assert np.array_equal(stream.peek(k), expected.astype(bool))  # unread
+    reference = raw_word_tosses(2026)
+    for k in (1, 63, 64, 65, 2**15 + 3, 5):
+        expected = [bit == 1 for bit in islice(reference, k)]
+        assert stream.peek(k).dtype == bool
+        assert stream.peek(k).tolist() == expected
+        assert stream.peek(k).tolist() == expected  # unread
         stream.at += k
 
 
@@ -261,10 +262,10 @@ def test_simulate_refuses_more_than_ten_million_trials(trials):
 
 
 def test_default_guard_lets_a_game_past_a_million_tosses_finish():
-    # mean wait 2**19 - 2; this seed's game runs 1,944,616 tosses, while the
+    # mean wait 2**19 - 2; this seed's game runs 1,123,915 tosses, while the
     # default cap for 18 tosses and one game is 18 * ceil(log(1e-12) /
     # log(1 - 2**-18)), about 1.3e8
-    r = simulate(Pattern((1,) * 18), 1, 8)
+    r = simulate(Pattern((1,) * 18), 1, 2)
     assert r.max_game_length_seen > 10**6
 
 
