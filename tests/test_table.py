@@ -1,16 +1,20 @@
 """Grouping of patterns by average, including the classic 2..6 table."""
 
+import tracemalloc
+
 import pytest
 
 from _oracles import operational_correlation, overlap_table
 from coinwait import (
     InvalidLengthError,
+    TooLargeError,
     complement,
     expected_waiting_time,
     parse_pattern,
     patterns_of_length,
     waiting_time_table,
 )
+from coinwait.table import LENGTH_CEILING
 
 # Every canonical pattern of lengths 2..6 with its exact average.  This is
 # the classic reference table for the fair-coin waiting-time problem and is
@@ -159,3 +163,18 @@ def test_lengths_are_taken_in_the_order_given_with_repeats():
 def test_rejects_any_length_below_one(lengths):
     with pytest.raises(InvalidLengthError):
         waiting_time_table(lengths)
+
+
+@pytest.mark.parametrize(
+    "lengths", [[LENGTH_CEILING + 1], [32], [16, LENGTH_CEILING + 1]]
+)
+def test_lengths_past_the_ceiling_are_refused_before_any_row(lengths):
+    # a length-16 table alone peaks at about 2.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            waiting_time_table(lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
