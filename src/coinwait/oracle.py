@@ -25,9 +25,8 @@ few integer tests per chunk.  tau_j does not depend on n, so one tally at
 N gives every tau_j with j <= N, and its avoiding count is sigma_N.
 
 The simulator reads one toss stream S from its seeded PCG64 generator:
-each raw 64-bit word gives two tosses, the top bits of its low and then
-its high 32-bit half, which is what ``integers(0, 2, dtype=uint64)``
-returns from a fresh generator.  Games are played in rounds; in round r
+each raw 64-bit word gives 64 tosses, least significant bit first, so
+S[64*w + i] is bit i of word w.  Games are played in rounds; in round r
 the live game of rank j among k live games gets toss S[pos_r + j], and
 pos_{r+1} = pos_r + k.
 While many games are live, each round is one vectorised step on windows
@@ -95,7 +94,7 @@ _BLOCK_TOSSES = 1 << 15
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the live windows and the toss stream hold every game at once: 9-11 B
+# so the live windows and the toss stream hold every game at once: 5-11 B
 # per trial at peak, measured with tracemalloc.
 _MAX_TRIALS = 10**7
 
@@ -308,7 +307,12 @@ def _runaway(max_tosses: int) -> SimulationRunawayError:
 
 
 class _Tosses:
-    """The toss stream S (module docstring), drawn _BLOCK_TOSSES at a time."""
+    """The toss stream S (module docstring), drawn _BLOCK_TOSSES at a time.
+
+    Each draw takes whole raw words and unpacks their bits, lowest first
+    (byte order and bit order both little-endian); the tosses of a word
+    not yet read wait for the next peek.
+    """
 
     def __init__(self, rng: np.random.Generator) -> None:
         import numpy as np

@@ -215,7 +215,7 @@ def test_simulate_rejects_bad_inputs():
 @pytest.mark.parametrize("text, trials", [("110", 10**6), ("111111", 2 * 10**5)])
 def test_simulate_memory_per_trial(text, trials):
     # no per-game number or length, only one-byte windows, the toss stream
-    # and one round's compaction: 11.0 and 8.9 B per game at peak
+    # and one round's compaction: 11.0 and 5.1 B per game at peak
     tracemalloc.start()
     try:
         simulate(parse_pattern(text), trials, 1)
