@@ -8,6 +8,7 @@ two sides is meaningful evidence rather than the same code twice.
 import csv
 import io
 import json
+from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
@@ -293,7 +294,7 @@ def automaton_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int
     return sigma, tau
 
 
-def raw_word_tosses(seed: int):
+def raw_word_tosses(seed: int) -> Iterator[int]:
     """The simulator's toss stream from `seed`, one toss at a time.
 
     Takes the raw 64-bit words of a PCG64 generator seeded with `seed`, a
