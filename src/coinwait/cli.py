@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from itertools import islice
 from pathlib import Path
 
-from .counting import _counts, _scaled_counts, extend_counts, verify_identities
+from .counting import _counts, _scaled_counts, occurrence_counts, verify_identities
 from .dyadic import EXACT_DECIMAL, decimal_text, fraction_text
 from .errors import CoinwaitError, SimulationRunawayError
 from .oracle import ENUMERATION_CEILING, exhaustive_tally, simulate
@@ -389,7 +389,7 @@ def _verify_one(pattern, horizon: int, oracle_n: int) -> dict:
     m = len(pattern)
     report = verify_identities(pattern, horizon)
     n_top = max(m, oracle_n)
-    counts = extend_counts(report.counts, max(horizon, n_top))
+    counts = occurrence_counts(pattern, n_top)
     # One tally at n_top, each count compared once.  The engine's sigma
     # follows by doubling from sigma_{m-1} = 2**(m-1) and its taus, so its
     # sigma_n below n_top is fixed by the taus compared here.

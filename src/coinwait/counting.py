@@ -23,10 +23,11 @@ exact dyadic mass balance; verify_identities checks all three.
 The engine is a generator that keeps only its last m terms, in two forms.
 _counts yields (sigma_n, tau_n) as Python ints, so counts of any size stay
 exact and there is no overflow to guard against; each step is shifts and
-subtractions only.  occurrence_counts and extend_counts collect it, and
-mean_via_sigma_series sums it as it goes.  _scaled_counts runs the same
-two identities on the weighted counts S_n = sigma_n 5**n and
-T_n = tau_n 5**n (per-toss weight 5) as exact Decimals:
+subtractions only.  occurrence_counts collects it; mean_via_sigma_series
+sums it and verify_identities checks it as it goes, so those two hold O(m)
+terms however far the horizon.  _scaled_counts runs the same two
+identities on the weighted counts S_n = sigma_n 5**n and T_n = tau_n 5**n
+(per-toss weight 5) as exact Decimals:
 
     T_n = 5**m S_{n-m} - sum_{j < m: c_j = 1} 5**(m-j) T_{n-m+j}
     S_n = 10 S_{n-1} - T_n
@@ -40,7 +41,7 @@ decimal context.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice
@@ -53,7 +54,6 @@ __all__ = [
     "OccurrenceCounts",
     "IdentityReport",
     "occurrence_counts",
-    "extend_counts",
     "closed_form_tau",
     "fibonacci",
     "first_occurrence_distribution",
@@ -78,11 +78,7 @@ def fibonacci(n: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class OccurrenceCounts:
-    """Exact sigma/tau sequences for one pattern up to a horizon.
-
-    The engine looks back at most m terms, so the sequences themselves
-    are all the state needed to resume it (see extend_counts).
-    """
+    """Exact sigma/tau sequences for one pattern up to a horizon."""
 
     pattern: Pattern
     horizon: int
@@ -102,44 +98,18 @@ def occurrence_counts(p: Pattern, horizon: int) -> OccurrenceCounts:
     """
     if horizon < 0:
         raise InvalidHorizonError(f"horizon must be >= 0, got {horizon}")
-    return _collect(p, (1,), (0,), horizon)
+    sigma, tau = [1], [0]
+    for s, t in islice(_counts(p), horizon):
+        sigma.append(s)
+        tau.append(t)
+    return OccurrenceCounts(p, horizon, tuple(sigma), tuple(tau))
 
 
-def extend_counts(counts: OccurrenceCounts, horizon: int) -> OccurrenceCounts:
-    """Resume a previous computation out to a larger horizon.
-
-    Exact arithmetic makes the split irrelevant: extending counts computed
-    to N1 yields bit-identical sequences to a single run out to N2.
-    """
-    if horizon < counts.horizon:
-        raise InvalidHorizonError(
-            f"cannot shrink horizon {counts.horizon} to {horizon}"
-        )
-    return _collect(counts.pattern, counts.sigma, counts.tau, horizon)
-
-
-def _collect(
-    p: Pattern, sigma: tuple[int, ...], tau: tuple[int, ...], horizon: int
-) -> OccurrenceCounts:
-    steps = islice(_counts(p, sigma, tau), horizon + 1 - len(sigma))
-    all_sigma, all_tau = list(sigma), list(tau)
-    for s, t in steps:
-        all_sigma.append(s)
-        all_tau.append(t)
-    return OccurrenceCounts(p, horizon, tuple(all_sigma), tuple(all_tau))
-
-
-def _counts(
-    p: Pattern, sigma: Sequence[int] = (1,), tau: Sequence[int] = (0,)
-) -> Iterator[tuple[int, int]]:
-    """Yield (sigma_n, tau_n) for every n past the counts given, without end.
-
-    sigma and tau hold the counts from n = 0; only their last m terms are
-    read.  The defaults are the counts at n = 0, so n = 1 comes first.
-    """
+def _counts(p: Pattern) -> Iterator[tuple[int, int]]:
+    """Yield (sigma_n, tau_n) for n = 1, 2, ..., without end."""
     m = len(p)
     proper = correlation_set(p).overlap_lengths()[:-1]
-    last_sigma, last_tau = _window(m, sigma, 0), _window(m, tau, 0)
+    last_sigma, last_tau = _window(m, 1, 0), _window(m, 0, 0)
     while True:
         t = last_sigma[0]
         for j in proper:
@@ -161,7 +131,7 @@ def _scaled_counts(p: Pattern) -> Iterator[tuple[Decimal, Decimal]]:
     proper = correlation_set(p).overlap_lengths()[:-1]
     weights = [(j, exact.power(5, m - j)) for j in proper]
     zero = Decimal(0)
-    last_sigma, last_tau = _window(m, [Decimal(1)], zero), _window(m, [zero], zero)
+    last_sigma, last_tau = _window(m, Decimal(1), zero), _window(m, zero, zero)
     while True:
         t = exact.multiply(top, last_sigma[0])
         for j, weight in weights:
@@ -172,15 +142,14 @@ def _scaled_counts(p: Pattern) -> Iterator[tuple[Decimal, Decimal]]:
         yield s, t
 
 
-def _window(m: int, terms: Sequence, zero) -> deque:
+def _window(m: int, first, zero) -> deque:
     """The last m terms, n - m .. n - 1, while the engine computes term n.
 
-    Index j holds term n - m + j.  Zeros stand in for n < 0, so the
-    expansion gives tau_n = 0 for 0 < n < m by itself.
+    Index j holds term n - m + j.  It starts at n = 1, with first as term 0
+    and zeros for n < 0, so the expansion gives tau_n = 0 for 0 < n < m by
+    itself.
     """
-    window = deque([zero] * m, maxlen=m)
-    window.extend(terms[-m:])
-    return window
+    return deque([zero] * (m - 1) + [first], maxlen=m)
 
 
 # Closed forms for the four families with classical answers.  Each maps the
@@ -249,7 +218,6 @@ def mean_via_sigma_series(p: Pattern, horizon: int) -> DyadicRational:
 class IdentityReport:
     """Outcome of the exact identity checks for one pattern.
 
-    counts holds the sigma/tau sequences the identities were checked on.
     Each failure list holds the indices n where the identity broke; all
     three empty means every identity held at every index.
     """
@@ -257,7 +225,6 @@ class IdentityReport:
     pattern: Pattern
     horizon: int
     correlation: CorrelationSet
-    counts: OccurrenceCounts
     doubling_failures: tuple[int, ...]
     expansion_failures: tuple[int, ...]
     telescoping_failures: tuple[int, ...]
@@ -280,6 +247,11 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
                       at every q from m to N, checked exactly in integers
                       as sum_{m<=n<=q} tau_n * 2**(q-n) == 2**q - sigma_q.
 
+    Each identity is checked as the engine's terms arrive, so only the last
+    m + 1 sigmas, the last m taus and the running mass of (c) are held:
+    memory is O(m) terms, however far the horizon.  (b) at k = n - m waits
+    for tau_n.
+
     The engine computes tau from (b) and sigma from (a), so both hold by
     construction and (c) follows from (a): they check the arithmetic, not
     the overlap set.  The independent evidence is the exhaustive tally,
@@ -294,36 +266,32 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
         raise InvalidHorizonError(
             f"need horizon >= 2 * pattern length ({2 * m}), got {horizon}"
         )
-    counts = occurrence_counts(p, horizon)
     corr = correlation_set(p)
-    sigma, tau = counts.sigma, counts.tau
-
-    doubling = tuple(
-        n for n in range(1, horizon + 1) if 2 * sigma[n - 1] != sigma[n] + tau[n]
-    )
-
-    overlaps = corr.overlap_lengths()
-    expansion = tuple(
-        n
-        for n in range(0, horizon - m + 1)
-        if sigma[n] != sum(tau[j + n] for j in overlaps)
-    )
-
-    # (c) times 2**q, so it is checked in integers: mass is
-    # sum_{m<=n<=q} tau_n * 2**(q-n), built by Horner.
-    telescoping = []
+    # tau_{n-m+j} is at index j - 1 of the last m taus
+    idx = [j - 1 for j in corr.overlap_lengths()]
+    last_sigma = deque([1], maxlen=m + 1)  # sigma_{n-m} .. sigma_n once n >= m
+    last_tau = deque(maxlen=m)  # tau_{n-m+1} .. tau_n once n >= m
+    doubling, expansion, telescoping = [], [], []
+    # (c) times 2**q, so it is checked in integers at q = n: mass is
+    # sum_{m<=i<=n} tau_i * 2**(n-i), built by Horner.
     mass = 0
-    for q in range(m, horizon + 1):
-        mass = 2 * mass + tau[q]
-        if mass != (1 << q) - sigma[q]:
-            telescoping.append(q)
+    for n, (s, t) in enumerate(islice(_counts(p), horizon), 1):
+        if (last_sigma[-1] << 1) != s + t:
+            doubling.append(n)
+        last_sigma.append(s)
+        last_tau.append(t)
+        if n >= m:
+            if last_sigma[0] != sum(map(last_tau.__getitem__, idx)):
+                expansion.append(n - m)
+            mass = (mass << 1) + t
+            if mass != (1 << n) - s:
+                telescoping.append(n)
 
     return IdentityReport(
         pattern=p,
         horizon=horizon,
         correlation=corr,
-        counts=counts,
-        doubling_failures=doubling,
-        expansion_failures=expansion,
+        doubling_failures=tuple(doubling),
+        expansion_failures=tuple(expansion),
         telescoping_failures=tuple(telescoping),
     )

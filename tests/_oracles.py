@@ -8,7 +8,7 @@ two sides is meaningful evidence rather than the same code twice.
 import csv
 import io
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
@@ -308,13 +308,49 @@ def raw_word_tosses(seed: int) -> Iterator[int]:
                 yield (word >> i) & 1
 
 
+def raw_word_reader(seed: int) -> Callable[[int], np.ndarray]:
+    """The stream of raw_word_tosses(seed), read k tosses at a time.
+
+    The returned read(k) gives the next k tosses as an array of 0s and 1s.
+    Raw words join into one int, word w at bits 64*w .. 64*w + 63, so the
+    tosses waiting to be read are that int's bits, lowest first; a read cuts
+    k of them off the low end and spells them out in binary.
+    """
+    raw = np.random.PCG64(seed).random_raw
+    pending, have = 0, 0
+
+    def read(k: int) -> np.ndarray:
+        nonlocal pending, have
+        if have < k:
+            words = raw(k // 64 + 1).astype("<u8").tobytes()
+            pending |= int.from_bytes(words, "little") << have
+            have += 8 * len(words)
+        bits = pending & ((1 << k) - 1)
+        pending >>= k
+        have -= k
+        if k < len(_FEW_TOSSES):
+            return _FEW_TOSSES[k][bits]
+        digits = f"{bits:0{k}b}"[::-1].encode()
+        return np.frombuffer(digits.translate(_DIGIT_VALUES), np.uint8)
+
+    return read
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# every run of k <= 8 tosses as an array, so rounds with few live games build none
+_FEW_TOSSES = [
+    [np.array([(bits >> i) & 1 for i in range(k)], np.uint64) for bits in range(1 << k)]
+    for k in range(9)
+]
+
+
 def per_toss_simulation(
     pattern: str, trials: int, seed: int, max_tosses: int | None = None
 ) -> tuple[float, float, int] | None:
     """Monte Carlo games played one toss per live game per round.
 
     Every round takes the stream's next toss for each live game, in trial
-    order, from raw_word_tosses(seed), and shifts it into that game's
+    order, from raw_word_reader(seed), and shifts it into that game's
     window of its last m tosses; the bits a round leaves in its word wait
     for the next round.  Returns (sample mean, standard error of
     the mean, longest game), or None when some game is still live after
@@ -327,7 +363,7 @@ def per_toss_simulation(
     pval = np.uint64(int(pattern, 2))
     mask = np.uint64((1 << m) - 1)
     one = np.uint64(1)
-    stream = raw_word_tosses(seed)
+    read = raw_word_reader(seed)
 
     lengths = np.zeros(trials, dtype=np.int64)
     # the live games, in trial order, and each one's window at the same index
@@ -338,7 +374,7 @@ def per_toss_simulation(
         tosses += 1
         if max_tosses is not None and tosses > max_tosses:
             return None
-        bits = np.fromiter(islice(stream, alive.size), np.uint64, alive.size)
+        bits = read(alive.size)
         window <<= one
         window |= bits
         window &= mask

@@ -499,7 +499,6 @@ def test_verify_reports_failures_with_exit_two(capsys, monkeypatch):
             pattern=p,
             horizon=horizon,
             correlation=correlation_set(p),
-        counts=occurrence_counts(p, horizon),
             doubling_failures=(3,),
             expansion_failures=(),
             telescoping_failures=(),

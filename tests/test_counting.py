@@ -12,11 +12,9 @@ from coinwait import (
     DyadicRational,
     InvalidHorizonError,
     InvalidIndexError,
-    OccurrenceCounts,
     Pattern,
     closed_form_tau,
     expected_waiting_time,
-    extend_counts,
     fibonacci,
     first_occurrence_distribution,
     mean_via_sigma_series,
@@ -36,9 +34,6 @@ from _oracles import (
     prefix_automaton,
     series_sigma,
 )
-
-
-bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
 
 
 # -- fibonacci ---------------------------------------------------------
@@ -174,20 +169,6 @@ def test_occurrence_counts_rejects_negative_horizon():
         occurrence_counts(parse_pattern("11"), -1)
 
 
-@given(bit_tuples, st.integers(0, 30), st.integers(0, 30))
-@settings(max_examples=60, deadline=None)
-def test_resume_is_bit_identical(bits, h1, h2):
-    lo, hi = sorted((h1, h2))
-    p = Pattern(bits)
-    assert extend_counts(occurrence_counts(p, lo), hi) == occurrence_counts(p, hi)
-
-
-def test_extend_counts_rejects_shrinking():
-    counts = occurrence_counts(parse_pattern("11"), 10)
-    with pytest.raises(InvalidHorizonError):
-        extend_counts(counts, 9)
-
-
 # -- closed forms ------------------------------------------------------
 
 
@@ -318,8 +299,8 @@ def test_telescoping_check_flags_what_the_dyadic_balance_flags(index, monkeypatc
     true = occurrence_counts(p, 40)
     tau = list(true.tau)
     tau[index] += 1
-    broken = OccurrenceCounts(p, 40, true.sigma, tuple(tau))
-    monkeypatch.setattr(counting, "occurrence_counts", lambda pattern, horizon: broken)
+    broken = lambda pattern: zip(true.sigma[1:], tau[1:])  # (sigma_n, tau_n) from n = 1
+    monkeypatch.setattr(counting, "_counts", broken)
     # The balance as exact dyadics, sum_{5<=n<=q} tau_n / 2**n == 1 - sigma_q / 2**q.
     expected = []
     mass = DyadicRational(0)
@@ -339,6 +320,40 @@ def test_telescoping_check_flags_what_the_dyadic_balance_flags(index, monkeypatc
     ]
     assert expansion == [index - j for j in reversed(overlaps) if 0 <= index - j <= 35]
     assert report.expansion_failures == tuple(expansion)
+
+
+@pytest.mark.parametrize("index", [3, 9, 40])
+def test_a_wrong_sigma_breaks_each_identity_where_it_is_read(index, monkeypatch):
+    p = parse_pattern("1101")
+    true = occurrence_counts(p, 40)
+    sigma = list(true.sigma)
+    sigma[index] -= 1
+    broken = lambda pattern: zip(sigma[1:], true.tau[1:])
+    monkeypatch.setattr(counting, "_counts", broken)
+    report = verify_identities(p, 40)
+    # sigma_n is read by doubling at n and n + 1, by the expansion at n
+    # (up to N - m = 36) and by the balance at q = n (from m = 4)
+    assert report.doubling_failures == tuple(n for n in (index, index + 1) if n <= 40)
+    assert report.expansion_failures == ((index,) if index <= 36 else ())
+    assert report.telescoping_failures == ((index,) if index >= 4 else ())
+
+
+@pytest.mark.parametrize("horizon", [2000, 10000])
+def test_identity_checks_hold_a_window_not_the_sequences(horizon):
+    # The checks read the last m + 1 sigmas and m taus as the engine yields
+    # them, so the peak is a fixed number of terms below 2**horizon however
+    # far the horizon is.  Holding both sequences would take 13 MB at 10000.
+    p = parse_pattern("111111")
+    verify_identities(p, 12)  # the overlap set's own allocations
+    tracemalloc.start()
+    try:
+        report = verify_identities(p, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_hold
+    size = (horizon + 8) // 8  # bytes of 2**horizon
+    assert peak <= 4 * (2 * len(p) + 4) * size + 16_384
 
 
 def test_identity_report_failure_bookkeeping():

@@ -23,7 +23,7 @@ from unittest import mock
 
 import pytest
 
-from coinwait import CorrelationSet, IdentityReport, correlation_set, occurrence_counts
+from coinwait import CorrelationSet, IdentityReport, correlation_set
 from coinwait import cli, counting
 
 from _oracles import csv_rewritten
@@ -82,7 +82,6 @@ def _always_broken(p, horizon):
         pattern=p,
         horizon=horizon,
         correlation=correlation_set(p),
-        counts=occurrence_counts(p, horizon),
         doubling_failures=(3,),
         expansion_failures=(),
         telescoping_failures=(5, 7),

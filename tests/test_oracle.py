@@ -26,7 +26,12 @@ from coinwait import (
 )
 from coinwait import oracle
 
-from _oracles import brute_sigma_tau, per_toss_simulation, raw_word_tosses
+from _oracles import (
+    brute_sigma_tau,
+    per_toss_simulation,
+    raw_word_reader,
+    raw_word_tosses,
+)
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -168,6 +173,15 @@ def test_toss_stream_is_the_raw_words_low_bit_first():
         assert stream.peek(k).tolist() == expected
         assert stream.peek(k).tolist() == expected  # unread
         stream.at += k
+
+
+def test_reading_tosses_in_rounds_is_the_same_stream():
+    # the per-toss replay reads a round's tosses at once, from runs below
+    # and above the small-run table, across word and batch boundaries
+    reference = raw_word_tosses(2026)
+    read = raw_word_reader(2026)
+    for k in (1, 8, 9, 3, 63, 64, 65, 3000, 2, 200, 1, 5000, 7):
+        assert read(k).tolist() == list(islice(reference, k))
 
 
 def test_simulation_is_deterministic():
