@@ -1,9 +1,10 @@
 """Trust, but verify: two independent ways to confirm every number.
 
 The counting engine is exact, but exactness does not prove correctness.
-This demo confronts it with brute force over all 2^n strings (numpy does
-the heavy lifting) and with a seeded Monte Carlo simulation of actual
-coin-toss games.
+This demo confronts it with an exhaustive tally of all 2^n strings, which
+counts them by their last m - 1 tosses and compares each m-toss window with
+the pattern directly (numpy, eight counts here), and with a seeded Monte
+Carlo simulation of actual coin-toss games.
 """
 
 from coinwait import (

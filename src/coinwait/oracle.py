@@ -1,28 +1,19 @@
-"""Independent ground truth: brute-force enumeration and Monte Carlo games.
+"""Independent ground truth: exhaustive window counts and Monte Carlo games.
 
 Nothing in this module touches the counting engine.  The exhaustive tally
-classifies every binary string of a given length by direct window
-comparison over its bits; the simulator plays games against freshly tossed
-bits, comparing each game's last m tosses with the pattern.  Agreement with
-the engine's sigma/tau sequences and with the closed-form means is
-therefore a genuine cross-check, not a tautology.
+classifies every binary string of a given length by comparing its m-toss
+windows with the pattern directly; the simulator plays games against
+freshly tossed bits, comparing each game's last m tosses with the
+pattern.  Agreement with the engine's sigma/tau sequences and with the
+closed-form means is therefore a genuine cross-check, not a tautology.
 
-The tally walks the 2**n strings in chunks of 2**16 consecutive integers:
-the high n - 16 bits number the chunk, the low 16 run through every value.
-A window ending at j >= n - 16 + m lies in the low bits, the same in every
-chunk, so those positions are scanned once, from last to first, each hit
-written over the previous one, so the earliest completion is left
-standing.  One ending at j <= n - 16 is one integer per chunk, and its
-earliest hit completes the whole chunk.  Each of the m - 1 windows
-straddling the two hits when the chunk number ends in the pattern's first
-tosses and the low bits start with its last ones: one integer test, and
-one run of consecutive low values, the same run in every chunk.  So the
-chunks that share a set of straddling hits share their whole tally: it is
-made once, by writing those runs (later positions first) over a copy of
-the low-bit completions, and counted once per chunk.  The arrays are one
-chunk long whatever n is (about 1.2 MB at peak); what grows with n is a
-few integer tests per chunk.  tau_j does not depend on n, so one tally at
-N gives every tau_j with j <= N, and its avoiding count is sigma_N.
+The tally counts the strings that still avoid the pattern by their last
+m - 1 tosses, one count per window, starting at length m - 1 with every
+count 1.  Appending a toss splits each count in two; the count whose last
+m tosses spell the pattern is tau_j and drops out, and the rest fold onto
+their new (m - 1)-toss windows; after the last toss their sum is sigma_n.
+The counts are uint32 and the fold is made in place, so memory is at most
+16 * 2**(m - 1) bytes whatever n is; time grows with n times that.
 
 The simulator reads one toss stream S from its seeded PCG64 generator:
 each raw 64-bit word gives 64 tosses, least significant bit first, so
@@ -74,14 +65,10 @@ __all__ = [
     "simulate",
 ]
 
-# 2**24 strings is plenty for cross-checks and tallies in a few ms.
-# The ceiling bounds time only: the tally's memory is fixed.  It must stay
-# <= 31, because strings are enumerated as uint32 words.
+# 2**24 strings is plenty for cross-checks.  Since m <= n, the ceiling also
+# bounds the tally's memory: at most 128 MiB, at m = 24.  It must stay
+# <= 32, because the window counts are uint32 and each is at most 2**(n - 1).
 ENUMERATION_CEILING = 24
-
-# Strings are tallied 2**16 at a time: large enough that each numpy step
-# outweighs its call overhead, small enough that the arrays stay near 1 MB.
-_TALLY_CHUNK_BITS = 16
 
 # Most tosses (live games x rounds) scanned per block.  Rounds go in blocks once
 # live games x pattern length fits in it; with more live games some game
@@ -125,19 +112,13 @@ class ExhaustiveTally:
 def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     """Classify every length-n string by where the pattern first completes.
 
-    Strings are the integers 0..2**n - 1 with the most significant bit as
-    the first toss.  For each end position j the m-bit window is compared
-    against the pattern directly; the earliest hit wins, later recurrences
-    are irrelevant.  All counting is exact.  n may not exceed 24.
-
-    The strings are walked in chunks of 2**min(n, 16); the module docstring
-    gives the three groups of end positions.  Positions are written from
-    last to first, every hit overwriting the completion position, so the
-    earliest one is written last and no "completed yet" mask is needed.
-    Chunks are grouped by the straddling windows their high bits allow;
-    each group's completions are histogrammed once and weighted by its
-    number of chunks.  Memory is a few chunk-sized arrays (about 1.2 MB at
-    peak) for every n.
+    Strings are counted by their last m - 1 tosses, as the module docstring
+    describes: each step appends one toss and compares every m-toss window
+    with the pattern directly, so the strings that complete it leave the
+    count at their first completion.  No overlap of the pattern is used.
+    All counting is exact.  n may not exceed 24.  Memory is at most
+    16 * 2**(m - 1) bytes for every n; tracemalloc reads 0.03 MiB at m = 12,
+    8 MiB at m = 20 and 96 MiB at m = 24 (n = 24).
     """
     m = len(p)
     if n < m:
@@ -150,60 +131,20 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     import numpy as np
 
     pval = int(str(p), 2)
-    mask = (1 << m) - 1
-    c = min(n, _TALLY_CHUNK_BITS)
-    h = n - c  # the high bits number the chunk
-    low = np.arange(1 << c, dtype=np.uint32)  # a chunk's low c bits
-    window = np.empty_like(low)
-    hit = np.empty(low.size, dtype=bool)
-    inner = np.zeros(low.size, dtype=np.uint8)  # 0 = no occurrence
-    for j in range(n, h + m - 1, -1):  # windows in the low bits, later first
-        np.right_shift(low, np.uint32(n - j), out=window)
-        np.bitwise_and(window, np.uint32(mask), out=window)
-        np.equal(window, np.uint32(pval), out=hit)
-        np.copyto(inner, j, where=hit)
-
-    # A straddling window ending at j has its last s = j - h tosses in the
-    # low bits: it hits when the high bits end in the pattern's first m - s
-    # tosses and the low bits start with its last s, a run of 2**(c - s)
-    # strings.  Later positions come first, so earlier hits overwrite them.
-    straddling, runs = [], {}
-    for j in range(min(n, h + m - 1), max(m, h + 1) - 1, -1):
-        s = j - h
-        straddling.append((j, (1 << (m - s)) - 1, pval >> s))
-        start = (pval & ((1 << s) - 1)) << (c - s)
-        runs[j] = slice(start, start + (1 << (c - s)))
-    outer = range(m, h + 1)  # windows in the high bits
-    raw = np.zeros(n + 1, dtype=np.int64)
-    chunks: dict[tuple, int] = {}  # straddling hits -> chunks with them
-    for high in range(1 << h):
-        j = next((j for j in outer if (high >> (h - j)) & mask == pval), 0)
-        if j:  # the whole chunk completes at its earliest outer hit
-            raw[j] += 1 << c
-            continue
-        hits = tuple(j for j, last, first in straddling if high & last == first)
-        chunks[hits] = chunks.get(hits, 0) + 1
-    for hits, count in chunks.items():
-        completion = inner.copy()
-        for j in hits:
-            completion[runs[j]] = j
-        raw += count * np.bincount(completion, minlength=n + 1)
-
-    counts: dict[int, int] = {}
+    states = 1 << (m - 1)
+    counts = np.ones(states, dtype=np.uint32)  # every string of length m - 1
+    first_occurrence_counts: dict[int, int] = {}
     for j in range(m, n + 1):
-        full_strings = int(raw[j])
-        # Every completing prefix extends freely, so the count divides evenly.
-        prefixes, remainder = divmod(full_strings, 1 << (n - j))
-        if remainder:
-            raise AssertionError(
-                f"completion count at position {j} not divisible by 2**{n - j}"
-            )
-        counts[j] = prefixes
+        grown = counts.repeat(2)  # entry 2w + b: window w, then toss b
+        first_occurrence_counts[j] = grown.item(pval)
+        grown[pval] = 0
+        counts = grown[:states]  # drop the oldest toss: the two halves
+        counts += grown[states:]  # share their last m - 1, so add in place
     return ExhaustiveTally(
         pattern=p,
         n=n,
-        first_occurrence_counts=counts,
-        avoiding_count=int(raw[0]),
+        first_occurrence_counts=first_occurrence_counts,
+        avoiding_count=int(counts.sum()),
     )
 
 

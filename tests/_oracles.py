@@ -41,6 +41,25 @@ def brute_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int]]:
     return sigma, tau
 
 
+def enumerated_completions(pattern: str, n: int) -> np.ndarray:
+    """The 2**n strings of length n, counted by where the pattern first ends.
+
+    Entry j (m <= j <= n) counts the full strings whose first occurrence
+    ends on toss j, and entry 0 those with none.  Every string is its
+    integer in arange(2**n), first toss most significant.  The window ending
+    at each position is tested on all of them at once, later positions
+    first, each hit writing its position over the last, so the earliest
+    stays; a bincount then counts the positions.  2**n uint32 strings, so
+    keep n near 20.
+    """
+    m = len(pattern)
+    strings = np.arange(1 << n, dtype=np.uint32)
+    completion = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n, m - 1, -1):
+        completion[(strings >> (n - j)) & ((1 << m) - 1) == int(pattern, 2)] = j
+    return np.bincount(completion, minlength=n + 1)
+
+
 def conditioned_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int]]:
     """Suffix-conditioned recursion for the same counts.
 
@@ -217,6 +236,23 @@ def overlap_table(
             groups.setdefault(average, []).append(format(v, f"0{length}b"))
         rows += [(length, a, tuple(groups[a])) for a in sorted(groups)]
     return rows
+
+
+def overlap_averages(length: int, include_complements: bool) -> np.ndarray:
+    """The average of every listed code of one length, by the overlap rule.
+
+    The numpy form of overlap_table: entry i is the average of code
+    start + i, where start is 0 with complements and 2**(length - 1)
+    without, so the codes ascend.  It is 2**length plus 2**j for every
+    1 <= j < length with v >> (length - j) == v & (2**j - 1), each j tested
+    over the whole arange of codes at once.
+    """
+    start = 0 if include_complements else 1 << (length - 1)
+    codes = np.arange(start, 1 << length, dtype=np.int64)
+    averages = np.full(codes.size, 1 << length, dtype=np.int64)
+    for j in range(1, length):
+        averages[codes >> (length - j) == codes & ((1 << j) - 1)] += 1 << j
+    return averages
 
 
 def longest_prefix_suffix_state(pattern: str, stream: str) -> int:

@@ -6,6 +6,7 @@ fresh process imports would show there.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -181,3 +182,45 @@ def test_verify_runs_a_far_horizon_under_an_address_space_cap():
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "all identities hold"
+
+
+def ci_console_lines() -> list[str]:
+    """The shell lines of the console-script step in CI's tier1 workflow."""
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    start = lines.index("      - name: Run the installed coinwait console script")
+    run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    depth = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line.strip())
+    return [line for line in block if line]
+
+
+def test_ci_console_script_lines_exit_0(tmp_path):
+    # The same lines CI runs, each under bash -o pipefail, with a `coinwait`
+    # on PATH that runs this tree's module, so a line that no longer matches
+    # its golden file or the CLI fails here first.  The installed script
+    # itself runs only on a hosted runner; this does not replace that run.
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("CI runs the console-script step under bash")
+    shim = tmp_path / "coinwait"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m coinwait.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**python_env(), "PATH": os.pathsep.join([str(tmp_path), os.environ["PATH"]])}
+    lines = ci_console_lines()
+    assert lines and all(line.startswith("coinwait ") for line in lines)
+    failed = []
+    for line in lines:
+        proc = subprocess.run(
+            [bash, "-o", "pipefail", "-c", line],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        if proc.returncode:
+            failed.append((line, proc.returncode, proc.stderr.decode()[-400:]))
+    assert failed == []

@@ -3,7 +3,6 @@
 import decimal
 import random
 import tracemalloc
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -28,6 +27,7 @@ from coinwait import oracle
 
 from _oracles import (
     brute_sigma_tau,
+    enumerated_completions,
     per_toss_simulation,
     raw_word_reader,
     raw_word_tosses,
@@ -46,16 +46,17 @@ def test_tally_by_hand():
     assert tally.classified_total() == 8
 
 
-@pytest.mark.parametrize("length", range(1, 4))
+@pytest.mark.parametrize("length", range(1, 6))
 def test_tally_matches_string_enumeration(length):
-    n = 10
+    # every n from the first step (n = m) on, and a single-window count at m = 1
     for p in patterns_of_length(length, canonical=False):
-        sigma, tau = brute_sigma_tau(str(p), n)
-        tally = exhaustive_tally(p, n)
-        assert tally.avoiding_count == sigma[n]
-        assert tally.first_occurrence_counts == {
-            j: tau[j] for j in range(length, n + 1)
-        }
+        sigma, tau = brute_sigma_tau(str(p), 12)
+        for n in range(length, 13):
+            tally = exhaustive_tally(p, n)
+            assert tally.avoiding_count == sigma[n]
+            assert tally.first_occurrence_counts == {
+                j: tau[j] for j in range(length, n + 1)
+            }
 
 
 @given(
@@ -90,14 +91,15 @@ def test_tally_rejects_short_and_huge_n():
 
 @pytest.mark.parametrize("n", [31, 32, 33, 40])
 def test_tally_refuses_n_at_and_past_the_uint32_word(n):
-    # strings are uint32 words, so n >= 32 must be refused before any
-    # 2**n-entry array is allocated
+    # the window counts are uint32 and reach 2**(n - 1), so such n must be
+    # refused before any count is made
     with pytest.raises(TooLargeError):
         exhaustive_tally(parse_pattern("110"), n)
 
 
 def test_enumeration_ceiling_fits_a_uint32_word():
-    # the refusals above pass at any ceiling up to 30, so they cannot pin it
+    # the refusals above pass at any ceiling up to 30, so they cannot pin it;
+    # each count is at most 2**(n - 1), 2**23 at the ceiling
     assert oracle.ENUMERATION_CEILING < 32
 
 
@@ -113,18 +115,28 @@ def test_tally_memory_does_not_grow_with_n():
     assert peak < 8 * 2**20
 
 
-_CHUNK_RNG = random.Random(20261018)
+def test_tally_memory_at_the_clis_longest_pattern_and_largest_n():
+    # 16 * 2**(m - 1) B of window counts: 32 KiB for a length-12 pattern,
+    # the CLI's longest, at the largest n
+    tracemalloc.start()
+    try:
+        exhaustive_tally(parse_pattern("110100111010"), 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["111111", "10101"]
-    + ["".join(_CHUNK_RNG.choice("01") for _ in range(m)) for m in (6, 9, 12, 15, 17, 20)],
-)
+_DEEP_RNG = random.Random(20261018)
+_DEEP_PATTERNS = ["111111", "10101"] + [
+    "".join(_DEEP_RNG.choice("01") for _ in range(m)) for m in (6, 9, 12, 15, 17, 20)
+]
+
+
+@pytest.mark.parametrize("text", _DEEP_PATTERNS)
 def test_tally_agrees_with_engine_across_chunks(text):
-    # at n = 20 the strings go in 16 chunks of 2**16, each with its first
-    # four tosses fixed: windows starting there straddle those high bits and
-    # the chunk's varying low bits
+    # n = 20, past the brute-force sweeps, for lengths up to 20, where the
+    # window count has 2**19 states
     p = parse_pattern(text)
     counts = occurrence_counts(p, 20)
     tally = exhaustive_tally(p, 20)
@@ -134,30 +146,16 @@ def test_tally_agrees_with_engine_across_chunks(text):
     }
 
 
-@lru_cache(maxsize=None)
-def _brute_to_12(text):
-    return brute_sigma_tau(text, 12)
-
-
-@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 5, 8])
-def test_tally_position_groups_at_small_chunks(monkeypatch, chunk_bits):
-    # with c-bit chunks, windows ending at j >= n - c + m are scanned once,
-    # those ending at j <= n - c are one integer per chunk (whenever
-    # n - c >= m), and the m - 1 in between are a test on the chunk's high
-    # bits and a run of its low values
-    monkeypatch.setattr(oracle, "_TALLY_CHUNK_BITS", chunk_bits)
-    outer_cases = 0
-    for length in range(1, 6):
-        for p in patterns_of_length(length, canonical=False):
-            sigma, tau = _brute_to_12(str(p))
-            for n in range(length, 13):
-                outer_cases += n - chunk_bits >= length
-                tally = exhaustive_tally(p, n)
-                assert tally.avoiding_count == sigma[n]
-                assert tally.first_occurrence_counts == {
-                    j: tau[j] for j in range(length, n + 1)
-                }
-    assert outer_cases
+@pytest.mark.parametrize("text", _DEEP_PATTERNS)
+def test_tally_matches_numpy_enumeration_at_n_20(text):
+    # every one of the 2**20 strings scanned window by window; each
+    # first-completion prefix of length j stands for 2**(20 - j) strings
+    tally = exhaustive_tally(parse_pattern(text), 20)
+    completions = enumerated_completions(text, 20)
+    assert tally.avoiding_count == completions[0]
+    assert {
+        j: count << (20 - j) for j, count in tally.first_occurrence_counts.items()
+    } == {j: int(completions[j]) for j in range(len(text), 21)}
 
 
 # -- simulation --------------------------------------------------------
@@ -265,6 +263,13 @@ def test_runaway_guard_trips():
     # a 2-toss cap cannot accommodate any game that misses HH straight away
     with pytest.raises(SimulationRunawayError):
         simulate(parse_pattern("11"), 64, 1, max_tosses=2)
+
+
+def test_runaway_guard_trips_in_one_step_rounds():
+    # 5000 games x 10 tosses is past the block budget, so the cap is met
+    # before any game can complete, while every round is one vectorised step
+    with pytest.raises(SimulationRunawayError):
+        simulate(Pattern((1,) * 10), 5000, 1, max_tosses=5)
 
 
 @pytest.mark.parametrize("trials", [10**7 + 1, 10**12])

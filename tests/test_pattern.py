@@ -113,6 +113,13 @@ def test_pattern_sequence_behaviour():
     assert p.heads_tails() == "HTH"
 
 
+def test_pattern_takes_any_sequence_of_bits_as_a_tuple():
+    p = Pattern([1, 0, 1])
+    assert p.bits == (1, 0, 1)
+    assert p == Pattern((1, 0, 1))
+    assert hash(p) == hash(Pattern((1, 0, 1)))
+
+
 # -- complement --------------------------------------------------------
 
 

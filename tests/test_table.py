@@ -2,9 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from _oracles import operational_correlation, overlap_table
+from _oracles import operational_correlation, overlap_averages, overlap_table
 from coinwait import (
     InvalidLengthError,
     TooLargeError,
@@ -150,6 +151,28 @@ def test_every_row_to_length_16_follows_the_overlap_rule(include_complements):
     rows = waiting_time_table(range(1, 17), include_complements=include_complements)
     got = [(row.length, row.average, row.patterns) for row in rows]
     assert got == overlap_table(range(1, 17), include_complements)
+
+
+@pytest.mark.parametrize("include_complements", [False, True], ids=["canonical", "all"])
+@pytest.mark.parametrize("length", range(17, LENGTH_CEILING + 1))
+def test_every_row_past_length_16_follows_the_overlap_rule(length, include_complements):
+    # The same check as above, with the rule tested over numpy arrays of
+    # codes: each row's patterns, read back as codes, must be the codes with
+    # that average, ascending, and the rows must ascend by average.
+    rows = waiting_time_table([length], include_complements=include_complements)
+    averages = overlap_averages(length, include_complements)
+    first = 0 if include_complements else 1 << (length - 1)
+    text = "".join(text for row in rows for text in row.patterns).encode()
+    bits = np.frombuffer(text, dtype=np.uint8).reshape(-1, length) - ord("0")
+    codes = bits.astype(np.int64) @ (1 << np.arange(length - 1, -1, -1))
+    row_averages = [row.average for row in rows]
+    assert {row.length for row in rows} == {length}
+    assert row_averages == sorted(set(row_averages))
+    order = np.argsort(averages, kind="stable")  # by average, then code
+    assert np.array_equal(codes, order + first)
+    assert np.array_equal(
+        np.repeat(row_averages, [len(row.patterns) for row in rows]), averages[order]
+    )
 
 
 def test_lengths_are_taken_in_the_order_given_with_repeats():
