@@ -17,18 +17,29 @@ The counts are uint32 and the fold is made in place, so memory is at most
 
 The simulator reads one toss stream S from its seeded PCG64 generator:
 each raw 64-bit word gives 64 tosses, least significant bit first, so
-S[64*w + i] is bit i of word w.  Games are played in rounds; in round r
-the live game of rank j among k live games gets toss S[pos_r + j], and
-pos_{r+1} = pos_r + k.
-While many games are live, each round is one vectorised step on windows
-of the narrowest unsigned type that holds m tosses.  Once k * m fits in a
-block budget, the live set stays fixed until some game completes, so the
-next B rounds are just S[pos : pos + B*k] as a B x k array: one scan
-finds the first round that completes a game, that round is settled and
-the rest of the block goes back to the stream.  B is the number of rounds
-between the last two completions, doubled after a block without one, so
-few scanned rounds are thrown away.  Both modes read the same stream the
-same way, so a seed gives the same games whichever mode plays them.
+S[64*w + i] is bit i of word w.  Games are played in blocks of rounds.
+A block of B rounds with k live games reads the stream's next B*k tosses
+as B rows of k: row r gives the live game of rank j its r-th toss of the
+block, S[pos + r*k + j], and the next block starts at pos + B*k.  Every
+game that completes in the block is settled at its first completion and
+ignores the rest of its tosses there; the games still live at the
+block's end keep their rank order.  B comes from one rule that uses no
+engine value:
+  - B = 1 for the first m - 1 tosses and while k * m > 2**15: one
+    vectorised step per round on windows of the narrowest unsigned type
+    that holds m tosses, since with that many live games some game
+    completes nearly every round;
+  - otherwise B = min(2**m, 2**16 // k, tosses left under the cap).
+    2**16 tosses is the block budget; B reaches 2m rounds exactly where
+    k * m falls to 2**15.  Every mean wait is at least 2**m, so the 2**m
+    cap bounds the tosses a finished game leaves unread.
+Within a block all B * k cells are scanned at once, so the long tail of
+a long pattern costs numpy work per toss, not Python work per round, and
+almost no toss is scanned twice: 2000 games of 1^12 (seed 3) scan 16.6M
+cells in 259 blocks for 16.5M tosses played, where settling only the
+first completing round of each block scanned 29.7M cells in 3,383.  A
+single game reads the stream in order whatever its blocks, so it plays
+the same game under any block rule.
 
 No game is tracked by number: the only per-game state is the live games'
 windows, and a call keeps ended[t], the number of games that ended on toss
@@ -70,11 +81,15 @@ __all__ = [
 # <= 32, because the window counts are uint32 and each is at most 2**(n - 1).
 ENUMERATION_CEILING = 24
 
-# Most tosses (live games x rounds) scanned per block.  Rounds go in blocks once
-# live games x pattern length fits in it; with more live games some game
-# completes nearly every round, and one vectorised step per round is cheaper
-# than scanning rounds past that completion.
-_BLOCK_TOSSES = 1 << 15
+# The block budget, the only constant of the block rule (module docstring):
+# at most this many tosses (live games x rounds) in one block.  Rounds go in
+# blocks once a block holds 2m rounds, that is for live games x m <= budget / 2;
+# with more live games some game completes nearly every round, and one
+# vectorised step per round is cheaper.  On a shared 2-core VM, 2**17 ran
+# nine sim-tail calls in 0.32-0.55 s against 0.36-0.49 s (6 alternating
+# rounds), no clear gain, but peaked at 1.02 against 0.60 MB (tracemalloc,
+# 2000 games of 1^12).
+_BLOCK_TOSSES = 1 << 16
 
 # The default runaway guard trips on a fair coin with at most this
 # probability over all games of one call.
@@ -168,8 +183,11 @@ def simulate(
 
     Each game tosses fair bits until its last len(p) tosses equal the
     pattern.  All games read one PCG64 toss stream seeded with `seed`,
-    round-robin over the games still live (see the module docstring), so
-    identical (pattern, trials, seed) always reproduce the identical result.
+    round-robin over the games still live, in blocks of rounds over a fixed
+    live set: every game that completes in a block ends at its first
+    completion, and the rest play on in the next (see the module
+    docstring).  So identical (pattern, trials, seed) always reproduce the
+    identical result, and one game plays the same game under any block rule.
     The statistics are computed from exact integer sums by the rule the
     module docstring states: the mean is rounded once and the standard
     error is the correctly rounded root.
@@ -282,13 +300,13 @@ def _play(
     """Play `trials` games; return {toss: games that ended on that toss}.
 
     Rounds are single vectorised steps until every live game has m - 1
-    tosses and live games x m fits in the block budget; _scan_blocks plays
-    the rest.  window holds each live game's last m tosses as an integer
-    of the narrowest unsigned type that fits them (1 B up to 8 tosses),
-    first toss most significant, in rank order; it shrinks only in rounds
-    where some game completes.  A boolean mask compacts it fastest when few
-    games finish, since it copies long kept runs whole, and an index array
-    when many do, since a mask then branches on every short run.
+    tosses and a block holds 2m rounds (module docstring); _scan_blocks
+    plays the rest.  window holds each live game's last m tosses as an
+    integer of the narrowest unsigned type that fits them (1 B up to 8
+    tosses), first toss most significant, in rank order; it shrinks only in
+    rounds where some game completes.  A boolean mask compacts it fastest
+    when few games finish, since it copies long kept runs whole, and an
+    index array when many do, since a mask then branches on every short run.
     """
     import numpy as np
 
@@ -298,7 +316,7 @@ def _play(
     window = np.zeros(trials, dtype=word)
     ended: dict[int, int] = {}
     tosses = 0
-    while window.size * m > _BLOCK_TOSSES or tosses < m - 1:
+    while 2 * m * window.size > _BLOCK_TOSSES or tosses < m - 1:
         if tosses >= max_tosses:
             raise _runaway(max_tosses)
         tosses += 1
@@ -331,48 +349,43 @@ def _scan_blocks(
     tosses: int,
     max_tosses: int,
 ) -> dict[int, int]:
-    """Finish the live games block by block, settling one round per block.
+    """Finish the live games block by block, settling every game that completes.
 
     history holds the last m - 1 tosses of each of the k live games, one
     column per game in rank order, so k is its width; the result counts
-    the games that end on each toss, as _play's does.  Row q of a block
-    holds round tosses + q + 1 for every live game: the stream's next
-    rounds x k tosses, peeked, not read.  Stacked under history, the game
-    completes in that round when rows q .. q + m - 1 spell the pattern: m
-    boolean ANDs find every completing (round, game) cell of the block at
-    once.  Only the rounds up to the first completing one are read; the
-    rest stay in the stream, so a block has as many rounds as passed
-    between the last two completions, twice as many after a block without
-    one, at most _BLOCK_TOSSES // k.  The negated tape is built only for a
-    pattern with a tail.
+    the games that end on each toss, as _play's does.  A block is
+    min(2**m, _BLOCK_TOSSES // k, max_tosses - tosses) rounds, and row q
+    of it holds toss tosses + q + 1 of every live game: the stream's next
+    rounds x k tosses, read as a whole.  Stacked under history, a game
+    completes in row q when rows q .. q + m - 1 of its column spell the
+    pattern, so m boolean ANDs find every completing (row, game) cell of
+    the block at once.  Each game that has such a cell ends at its first
+    one; the others carry their last m - 1 tosses into the next block.  The
+    negated tape is built only for a pattern with a tail.
     """
     import numpy as np
 
     m = len(bits)
     ended: dict[int, int] = {}
-    rounds, since = 1, 0  # this block's rounds; rounds since a game completed
     while k := history.shape[1]:
-        rounds = min(rounds, _BLOCK_TOSSES // k, max_tosses - tosses)
+        rounds = min(1 << m, _BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
         tape = np.concatenate((history, stream.peek(rounds * k).reshape(rounds, k)))
+        stream.at += rounds * k
         sides = (~tape if 0 in bits else None, tape)
         hit = sides[bits[0]][:rounds].copy()
         for i in range(1, m):
             np.logical_and(hit, sides[bits[i]][i : i + rounds], out=hit)
-        first = int(hit.argmax())  # the first completing cell, in round order
-        if not hit.flat[first]:
-            tosses += rounds
-            stream.at += rounds * k
-            history = tape[rounds:]
-            since += rounds
-            rounds *= 2
-            continue
-        q = first // k
-        tosses += q + 1
-        stream.at += (q + 1) * k
-        rounds, since = since + q + 1, 0
-        keep = ~hit[q]
-        ended[tosses] = int(np.count_nonzero(hit[q]))
-        history = tape[q + 1 : q + m].compress(keep, axis=1)
+        cells = np.flatnonzero(hit)  # in row order, so a game's first comes first
+        history = tape[rounds:]
+        if cells.size:
+            games, first = np.unique(cells % k, return_index=True)
+            rows, done = np.unique(cells[first] // k, return_counts=True)
+            for q, count in zip(rows.tolist(), done.tolist()):
+                ended[tosses + q + 1] = count
+            keep = np.ones(k, dtype=bool)
+            keep[games] = False
+            history = history.compress(keep, axis=1)
+        tosses += rounds
     return ended

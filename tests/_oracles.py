@@ -383,17 +383,22 @@ _FEW_TOSSES = [
 def per_toss_simulation(
     pattern: str, trials: int, seed: int, max_tosses: int | None = None
 ) -> tuple[float, float, int] | None:
-    """Monte Carlo games played one toss per live game per round.
+    """Monte Carlo games played one toss per live game per round, in blocks.
 
-    Every round takes the stream's next toss for each live game, in trial
-    order, from raw_word_reader(seed), and shifts it into that game's
-    window of its last m tosses; the bits a round leaves in its word wait
-    for the next round.  Returns (sample mean, standard error of
-    the mean, longest game), or None when some game is still live after
-    `max_tosses` tosses (no limit when None).  The statistics come from the
-    exact sums of the game lengths and of their squares: the mean is one
-    int division, the standard error the square root of the unbiased
-    variance over trials, taken to 100 digits and then made a float.
+    A block of B rounds keeps one live set of k games.  Every round of it
+    takes the stream's next toss for each of them, in trial order, from
+    raw_word_reader(seed), and shifts it into that game's window of its
+    last m tosses; the bits a round leaves in its word wait for the next
+    round.  A game ends at its first completion and ignores its later
+    tosses in the block; the games that ended leave the live set when the
+    block ends.  B is 1 for the first m - 1 tosses and while k * m > 2**15,
+    and min(2**m, 2**16 // k, tosses left under the cap) after.  Returns
+    (sample mean, standard error of the mean, longest game), or None when
+    some game is still live after `max_tosses` tosses (no limit when None).
+    The statistics come from the exact sums of the game lengths and of
+    their squares: the mean is one int division, the standard error the
+    square root of the unbiased variance over trials, taken to 100 digits
+    and then made a float.
     """
     m = len(pattern)
     pval = np.uint64(int(pattern, 2))
@@ -407,20 +412,26 @@ def per_toss_simulation(
     window = np.zeros(trials, dtype=np.uint64)
     tosses = 0
     while alive.size:
-        tosses += 1
-        if max_tosses is not None and tosses > max_tosses:
-            return None
-        bits = read(alive.size)
-        window <<= one
-        window |= bits
-        window &= mask
-        if tosses >= m:
-            finished = window == pval
-            if np.count_nonzero(finished):
-                lengths[alive[finished]] = tosses
-                live = ~finished
-                alive = alive[live]
-                window = window[live]
+        if tosses < m - 1 or alive.size * m > 2**15:
+            block = 1
+        else:
+            block = min(2**m, 2**16 // alive.size)
+        if max_tosses is not None:
+            block = min(block, max_tosses - tosses)
+            if block <= 0:
+                return None
+        finished = np.zeros(alive.size, dtype=bool)
+        for _ in range(block):
+            tosses += 1
+            window <<= one
+            window |= read(alive.size)
+            window &= mask
+            if tosses >= m:
+                first = (window == pval) & ~finished
+                lengths[alive[first]] = tosses
+                finished |= first
+        alive = alive[~finished]
+        window = window[~finished]
 
     played = lengths.tolist()
     total = sum(played)

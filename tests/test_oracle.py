@@ -237,6 +237,21 @@ def test_simulate_memory_per_trial(text, trials):
     assert peak <= 14 * trials
 
 
+@pytest.mark.parametrize("m, trials", [(12, 2000), (17, 200)])
+def test_simulate_memory_in_blocks(m, trials):
+    # a block holds at most _BLOCK_TOSSES one-byte cells; its tape and hit
+    # mask, the one before them and the stream's draws come to about 9 of
+    # them at peak (600 and 490 kB here, where the scan that settled one
+    # round per block took 370 and 256 kB)
+    tracemalloc.start()
+    try:
+        simulate(Pattern((1,) * m), trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * oracle._BLOCK_TOSSES
+
+
 _WIDE = st.integers(2**300, 2**1200)
 
 
@@ -336,6 +351,15 @@ def test_simulate_matches_per_toss_reference_long_patterns(length):
         ("101", 3000, 1, 9),
         ("10110", 40, 3, 60),
         ("1", 1, 4, 1),
+        # k * m = 2**15 exactly after the first toss: blocks of 2m = 4 rounds
+        ("10", 16384, 2, None),
+        # 2**m = 64 rounds per block, under the budget's 655
+        ("110101", 100, 6, None),
+        # blocks of 256 from toss 7; the longest game ends on toss 992, so
+        # the fourth block is cut to 217 rounds and settles it, or is cut
+        # one round short of it and trips the guard
+        ("11111111", 20, 5, 992),
+        ("11111111", 20, 5, 991),
     ],
 )
 def test_simulate_matches_per_toss_reference_at_mode_switch_and_cap(
@@ -345,16 +369,19 @@ def test_simulate_matches_per_toss_reference_at_mode_switch_and_cap(
 
 
 def test_sample_means_track_exact_values_across_seeds():
-    # doubles and triples, twenty seeds each: the 4-standard-error window
-    # should essentially never miss
-    patterns = ["10", "11", "100", "101", "110", "111"]
+    # twenty seeds each: the 4-standard-error window should essentially never
+    # miss.  Doubles and triples end almost entirely in one-step rounds; the
+    # length-10 games at 2000 trials are played in blocks of 32 rounds, then
+    # longer ones as games finish
+    cases = [(text, 10**6) for text in ["10", "11", "100", "101", "110", "111"]]
+    cases += [("1111111111", 2000), ("1011010011", 2000)]
     checks = 0
     hits = 0
-    for text in patterns:
+    for text, trials in cases:
         p = parse_pattern(text)
         exact = expected_waiting_time(p)
         for seed in range(20):
-            r = simulate(p, 10**6, seed)
+            r = simulate(p, trials, seed)
             checks += 1
             if abs(r.sample_mean - exact) <= 4 * r.sample_stderr:
                 hits += 1
