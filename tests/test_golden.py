@@ -44,6 +44,8 @@ COMMANDS = [
     ("dist-1101-h20", ["dist", "1101", "--horizon", "20"]),
     ("simulate-11-seed9", ["simulate", "11", "--trials", "2000", "--seed", "9"]),
     ("simulate-1-one-trial", ["simulate", "1", "--trials", "1"]),
+    # blocks of 218 rounds that settle several games each
+    ("simulate-ones12-300", ["simulate", "1" * 12, "--trials", "300", "--seed", "5"]),
     ("verify-1-3", ["verify", "--lengths", "1..3", "--horizon", "8", "--oracle-n", "3"]),
     # verify with an identity check that always reports a failure (exit 2)
     ("verify-broken", ["verify", "--lengths", "2..2", "--horizon", "16", "--oracle-n", "4"]),
