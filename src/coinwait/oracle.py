@@ -35,11 +35,10 @@ engine value:
     cap bounds the tosses a finished game leaves unread.
 Within a block all B * k cells are scanned at once, so the long tail of
 a long pattern costs numpy work per toss, not Python work per round, and
-almost no toss is scanned twice: 2000 games of 1^12 (seed 3) scan 16.6M
-cells in 259 blocks for 16.5M tosses played, where settling only the
-first completing round of each block scanned 29.7M cells in 3,383.  A
-single game reads the stream in order whatever its blocks, so it plays
-the same game under any block rule.
+few tosses are scanned that no game plays: 2000 games of 1^12 (seed 3)
+scan 16.6M cells in 259 blocks for 16.5M tosses played.  A single game
+reads the stream in order whatever its blocks, so it plays the same game
+under any block rule.
 
 No game is tracked by number: the only per-game state is the live games'
 windows, and a call keeps ended[t], the number of games that ended on toss
@@ -384,8 +383,6 @@ def _scan_blocks(
             rows, done = np.unique(cells[first] // k, return_counts=True)
             for q, count in zip(rows.tolist(), done.tolist()):
                 ended[tosses + q + 1] = count
-            keep = np.ones(k, dtype=bool)
-            keep[games] = False
-            history = history.compress(keep, axis=1)
+            history = np.delete(history, games, axis=1)
         tosses += rounds
     return ended

@@ -427,9 +427,11 @@ def per_toss_simulation(
             window |= read(alive.size)
             window &= mask
             if tosses >= m:
-                first = (window == pval) & ~finished
-                lengths[alive[first]] = tosses
-                finished |= first
+                hit = window == pval
+                if np.count_nonzero(hit):
+                    first = hit & ~finished
+                    lengths[alive[first]] = tosses
+                    finished |= first
         alive = alive[~finished]
         window = window[~finished]
 

@@ -240,9 +240,8 @@ def test_simulate_memory_per_trial(text, trials):
 @pytest.mark.parametrize("m, trials", [(12, 2000), (17, 200)])
 def test_simulate_memory_in_blocks(m, trials):
     # a block holds at most _BLOCK_TOSSES one-byte cells; its tape and hit
-    # mask, the one before them and the stream's draws come to about 9 of
-    # them at peak (600 and 490 kB here, where the scan that settled one
-    # round per block took 370 and 256 kB)
+    # mask, the previous block's and the stream's draws come to about 9.2
+    # and 7.5 of them at peak
     tracemalloc.start()
     try:
         simulate(Pattern((1,) * m), trials, 1)
