@@ -46,6 +46,8 @@ COMMANDS = [
     ("simulate-1-one-trial", ["simulate", "1", "--trials", "1"]),
     # blocks of 218 rounds that settle several games each
     ("simulate-ones12-300", ["simulate", "1" * 12, "--trials", "300", "--seed", "5"]),
+    # the same blocks for a pattern with a tail (a 0 among its bits)
+    ("simulate-tail10-300", ["simulate", "1011010011", "--trials", "300", "--seed", "5"]),
     ("verify-1-3", ["verify", "--lengths", "1..3", "--horizon", "8", "--oracle-n", "3"]),
     # verify with an identity check that always reports a failure (exit 2)
     ("verify-broken", ["verify", "--lengths", "2..2", "--horizon", "16", "--oracle-n", "4"]),
