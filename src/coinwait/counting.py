@@ -23,7 +23,8 @@ exact dyadic mass balance; verify_identities checks all three.
 The engine is a generator that keeps only its last m terms, in two forms.
 _counts yields (sigma_n, tau_n) as Python ints, so counts of any size stay
 exact and there is no overflow to guard against; each step is shifts and
-subtractions only.  occurrence_counts collects it; mean_via_sigma_series
+subtractions only.  occurrence_counts collects it and
+first_occurrence_distribution keeps only its taus; mean_via_sigma_series
 sums it and verify_identities checks it as it goes, so those two hold O(m)
 terms however far the horizon.  _scaled_counts runs the same two
 identities on the weighted counts S_n = sigma_n 5**n and T_n = tau_n 5**n
@@ -187,14 +188,15 @@ def first_occurrence_distribution(
     """Exact probabilities p_n = tau_n / 2**n for n = 0..horizon.
 
     p_n is the chance the game ends exactly on toss n.  The mass not yet
-    seen by the horizon is exactly sigma_N / 2**N.
+    seen by the horizon is exactly sigma_N / 2**N.  The engine's taus are
+    taken as it runs, and no sigma is kept.
     """
     if horizon < len(p):
         raise InvalidHorizonError(
             f"horizon {horizon} is below the pattern length {len(p)}"
         )
-    counts = occurrence_counts(p, horizon)
-    return tuple(DyadicRational(t, n) for n, t in enumerate(counts.tau))
+    steps = enumerate(islice(_counts(p), horizon), 1)
+    return (DyadicRational(0, 0), *(DyadicRational(t, n) for n, (_, t) in steps))
 
 
 def mean_via_sigma_series(p: Pattern, horizon: int) -> DyadicRational:
@@ -253,10 +255,8 @@ def verify_identities(p: Pattern, horizon: int) -> IdentityReport:
     for tau_n.
 
     The engine computes tau from (b) and sigma from (a), so both hold by
-    construction and (c) follows from (a): they check the arithmetic, not
-    the overlap set.  The independent evidence is the exhaustive tally,
-    which `coinwait verify` runs once per pattern: every tau_n up to its n,
-    and sigma at that n, are compared once.
+    construction and (c) follows from (a): they check the engine's
+    arithmetic, not the overlap set it was given.
 
     Failures land in the report rather than raising; they indicate a bug,
     since all three are theorems.

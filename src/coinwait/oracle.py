@@ -33,12 +33,15 @@ engine value:
     2**16 tosses is the block budget; B reaches 2m rounds exactly where
     k * m falls to 2**15.  Every mean wait is at least 2**m, so the 2**m
     cap bounds the tosses a finished game leaves unread.
-Within a block all B * k cells are scanned at once, so the long tail of
-a long pattern costs numpy work per toss, not Python work per round, and
-few tosses are scanned that no game plays: 2000 games of 1^12 (seed 3)
-scan 16.6M cells in 259 blocks for 16.5M tosses played.  A single game
-reads the stream in order whatever its blocks, so it plays the same game
-under any block rule.
+Within a block all B * k cells are scanned at once, one pass per toss of
+the pattern whatever its bits, so the long tail of a long pattern costs
+numpy work per toss, not Python work per round, and few tosses are
+scanned that no game plays: 2000 games of 1^12 (seed 3) scan 16.6M cells
+in 259 blocks for 16.5M tosses played.  Each toss is read once and one
+block is held at a time: the live games carry only their last m - 1
+tosses out of a block before the next is read.  A single game reads the
+stream in order whatever its blocks, so it plays the same game under any
+block rule.
 
 No game is tracked by number: the only per-game state is the live games'
 windows, and a call keeps ended[t], the number of games that ended on toss
@@ -75,9 +78,9 @@ __all__ = [
     "simulate",
 ]
 
-# 2**24 strings is plenty for cross-checks.  Since m <= n, the ceiling also
-# bounds the tally's memory: at most 128 MiB, at m = 24.  It must stay
-# <= 32, because the window counts are uint32 and each is at most 2**(n - 1).
+# The largest n the tally counts to.  Since m <= n, it also bounds the
+# tally's memory: at most 128 MiB, at m = 24.  It must stay <= 32, because
+# the window counts are uint32 and each is at most 2**(n - 1).
 ENUMERATION_CEILING = 24
 
 # The block budget, the only constant of the block rule (module docstring):
@@ -86,8 +89,7 @@ ENUMERATION_CEILING = 24
 # with more live games some game completes nearly every round, and one
 # vectorised step per round is cheaper.  On a shared 2-core VM, 2**17 ran
 # nine sim-tail calls in 0.32-0.55 s against 0.36-0.49 s (6 alternating
-# rounds), no clear gain, but peaked at 1.02 against 0.60 MB (tracemalloc,
-# 2000 games of 1^12).
+# rounds), no clear gain, for twice the memory of a block.
 _BLOCK_TOSSES = 1 << 16
 
 # The default runaway guard trips on a fair coin with at most this
@@ -95,7 +97,7 @@ _BLOCK_TOSSES = 1 << 16
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the live windows and the toss stream hold every game at once: 5-11 B
+# so the live windows and the toss stream hold every game at once: 4-10 B
 # per trial at peak, measured with tracemalloc.
 _MAX_TRIALS = 10**7
 
@@ -265,32 +267,30 @@ def _runaway(max_tosses: int) -> SimulationRunawayError:
 
 
 class _Tosses:
-    """The toss stream S (module docstring), drawn _BLOCK_TOSSES at a time.
+    """The toss stream S (module docstring), read once, in order.
 
-    Each draw takes whole raw words and unpacks their bits, lowest first
-    (byte order and bit order both little-endian); the tosses of a word
-    not yet read wait for the next peek.
+    A read draws only the raw words it lacks and unpacks their bits, lowest
+    first (byte order and bit order both little-endian); the tosses of its
+    last word that it does not use, fewer than 64, wait for the next read.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         import numpy as np
 
         self._raw = rng.bit_generator.random_raw
-        self._ahead = np.empty(0, dtype=bool)  # drawn, not yet read, from `at`
-        self.at = 0  # readers advance it past the tosses they use
+        self._ahead = np.empty(0, dtype=bool)  # drawn and not yet read
 
-    def peek(self, k: int) -> np.ndarray:
-        """The next k tosses, left unread."""
-        if self._ahead.size - self.at < k:
+    def read(self, k: int) -> np.ndarray:
+        """The next k tosses, which no later read sees again."""
+        tosses = self._ahead
+        if tosses.size < k:
             import numpy as np
 
-            raw = self._raw(max(k, _BLOCK_TOSSES) // 64 + 1)
-            fresh = np.unpackbits(
-                raw.astype("<u8", copy=False).view(np.uint8), bitorder="little"
-            ).view(bool)
-            self._ahead = np.concatenate((self._ahead[self.at :], fresh))
-            self.at = 0
-        return self._ahead[self.at : self.at + k]
+            raw = self._raw(-((tosses.size - k) // 64)).astype("<u8", copy=False)
+            fresh = np.unpackbits(raw.view(np.uint8), bitorder="little").view(bool)
+            tosses = np.concatenate((tosses, fresh))
+        self._ahead = tosses[k:].copy()
+        return tosses[:k]
 
 
 def _play(
@@ -320,8 +320,7 @@ def _play(
             raise _runaway(max_tosses)
         tosses += 1
         window += window  # the shift by one: uint8 shifts have no vector loop
-        window |= stream.peek(window.size)
-        stream.at += window.size
+        window |= stream.read(window.size)
         window &= mask
         if tosses >= m:
             hit = window == pval
@@ -336,13 +335,13 @@ def _play(
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)
     ended.update(
-        _scan_blocks(tuple(map(int, p.bits)), history, stream, tosses, max_tosses)
+        _scan_blocks(tuple(map(bool, p.bits)), history, stream, tosses, max_tosses)
     )
     return ended
 
 
 def _scan_blocks(
-    bits: tuple[int, ...],
+    bits: tuple[bool, ...],
     history: np.ndarray,
     stream: _Tosses,
     tosses: int,
@@ -357,10 +356,11 @@ def _scan_blocks(
     of it holds toss tosses + q + 1 of every live game: the stream's next
     rounds x k tosses, read as a whole.  Stacked under history, a game
     completes in row q when rows q .. q + m - 1 of its column spell the
-    pattern, so m boolean ANDs find every completing (row, game) cell of
-    the block at once.  Each game that has such a cell ends at its first
-    one; the others carry their last m - 1 tosses into the next block.  The
-    negated tape is built only for a pattern with a tail.
+    pattern, so one pass per toss of the pattern finds every completing
+    (row, game) cell of the block at once: a heads row is folded in with
+    AND, a tails row with >, since for booleans a > b is a and not b.  Each
+    game that has such a cell ends at its first one; the others' last
+    m - 1 tosses are copied out, so only one block is held at a time.
     """
     import numpy as np
 
@@ -370,19 +370,19 @@ def _scan_blocks(
         rounds = min(1 << m, _BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
-        tape = np.concatenate((history, stream.peek(rounds * k).reshape(rounds, k)))
-        stream.at += rounds * k
-        sides = (~tape if 0 in bits else None, tape)
-        hit = sides[bits[0]][:rounds].copy()
+        tape = np.concatenate((history, stream.read(rounds * k).reshape(rounds, k)))
+        hit = tape[:rounds] == bits[0]
         for i in range(1, m):
-            np.logical_and(hit, sides[bits[i]][i : i + rounds], out=hit)
+            fold = np.logical_and if bits[i] else np.greater
+            fold(hit, tape[i : i + rounds], out=hit)
         cells = np.flatnonzero(hit)  # in row order, so a game's first comes first
-        history = tape[rounds:]
+        history = tape[rounds:].copy()  # not a view, so the tape can go
         if cells.size:
             games, first = np.unique(cells % k, return_index=True)
             rows, done = np.unique(cells[first] // k, return_counts=True)
             for q, count in zip(rows.tolist(), done.tolist()):
                 ended[tosses + q + 1] = count
             history = np.delete(history, games, axis=1)
+        del tape, hit
         tosses += rounds
     return ended

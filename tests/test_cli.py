@@ -218,6 +218,21 @@ def test_lengths_past_the_ceiling_are_refused_before_enumerating(capsys, monkeyp
         )
 
 
+def test_lengths_at_the_ceiling_are_accepted(capsys):
+    # 12, the longest length table and verify take; 13 is refused above
+    for argv, first in (
+        (["table", "--lengths", "12", "--format", "csv"], "12,4096,100000000000"),
+        (
+            ["verify", "--lengths", "12..12", "--horizon", "24", "--oracle-n", "12"],
+            "checked 2048 canonical patterns (lengths 12..12), horizon 24,"
+            " enumeration up to n=12",
+        ),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert first in out.splitlines()[:2]
+
+
 # -- dist --------------------------------------------------------------
 
 
@@ -314,6 +329,13 @@ def test_dist_rejects_horizon_below_length(capsys):
     code, _, err = run(["dist", "1101", "--horizon", "3"], capsys)
     assert code == 1
     assert "horizon" in err
+
+
+def test_dist_accepts_a_horizon_equal_to_the_length(capsys):
+    # the edge of the refusal above: one row, the game that ends on toss m
+    code, out, err = run(["dist", "1101", "--horizon", "4", "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["4,1,1/16,0.0625,0.0625,0.9375"]
 
 
 class _CountingSink(io.TextIOBase):
@@ -577,13 +599,21 @@ def test_verify_refuses_an_oracle_n_above_the_ceiling_before_enumerating(
 
     for name in ("verify_identities", "exhaustive_tally"):
         monkeypatch.setattr(cli, name, refuse)
-    for argv in (
-        ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", "40"],
-        ["verify", "--lengths", "1..12", "--oracle-n", "40"],
-    ):
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (1, "")
-        assert err == "error: n=40 exceeds the enumeration ceiling 24\n"
+    for n in ("25", "40"):  # one past the ceiling, and far past it
+        for argv in (
+            ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", n],
+            ["verify", "--lengths", "1..12", "--oracle-n", n],
+        ):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err == f"error: n={n} exceeds the enumeration ceiling 24\n"
+
+
+def test_verify_accepts_an_oracle_n_at_the_ceiling(capsys):
+    argv = ["verify", "--lengths", "1..1", "--horizon", "2", "--oracle-n", "24"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith("enumeration up to n=24")
 
 
 def test_verify_rejects_an_oracle_n_below_one(capsys):
@@ -607,9 +637,19 @@ def test_verify_names_the_top_n_it_tallied(capsys):
 
 
 def test_verify_rejects_small_horizon(capsys):
-    code, _, err = run(["verify", "--lengths", "2..6", "--horizon", "10"], capsys)
-    assert code == 1
-    assert "horizon" in err
+    # one below twice the largest length
+    code, out, err = run(["verify", "--lengths", "2..6", "--horizon", "11"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: horizon must be >= twice the largest length (12), got 11\n"
+
+
+def test_verify_accepts_a_horizon_of_twice_the_largest_length(capsys):
+    code, out, err = run(["verify", "--lengths", "2..6", "--horizon", "12"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "checked 62 canonical patterns (lengths 2..6), horizon 12,"
+        " enumeration up to n=10"
+    )
 
 
 # -- shared plumbing ---------------------------------------------------

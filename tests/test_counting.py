@@ -217,6 +217,24 @@ def test_distribution_rejects_horizon_below_length():
         first_occurrence_distribution(parse_pattern("110"), 2)
 
 
+@pytest.mark.parametrize(
+    "text, horizon, limit", [("11", 4000, 2 * 2**20), ("10101", 8000, 8 * 2**20)]
+)
+def test_distribution_holds_no_sigma(text, horizon, limit):
+    # the probabilities themselves, 1.2 and 4.8 MiB at peak; holding every
+    # sigma_n and tau_n as well came to 2.8 and 13.1 MiB
+    p = parse_pattern(text)
+    first_occurrence_distribution(p, len(p))  # the overlap set's own allocations
+    tracemalloc.start()
+    try:
+        dist = first_occurrence_distribution(p, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dist) == horizon + 1
+    assert peak <= limit
+
+
 def test_distribution_mass_accounts_for_everything():
     p = parse_pattern("1101")
     horizon = 40

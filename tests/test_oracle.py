@@ -166,11 +166,9 @@ def test_toss_stream_is_the_raw_words_low_bit_first():
     stream = oracle._Tosses(np.random.Generator(np.random.PCG64(2026)))
     reference = raw_word_tosses(2026)
     for k in (1, 63, 64, 65, 2**15 + 3, 5):
-        expected = [bit == 1 for bit in islice(reference, k)]
-        assert stream.peek(k).dtype == bool
-        assert stream.peek(k).tolist() == expected
-        assert stream.peek(k).tolist() == expected  # unread
-        stream.at += k
+        tosses = stream.read(k)
+        assert tosses.dtype == bool
+        assert tosses.tolist() == [bit == 1 for bit in islice(reference, k)]
 
 
 def test_reading_tosses_in_rounds_is_the_same_stream():
@@ -227,7 +225,7 @@ def test_simulate_rejects_bad_inputs():
 @pytest.mark.parametrize("text, trials", [("110", 10**6), ("111111", 2 * 10**5)])
 def test_simulate_memory_per_trial(text, trials):
     # no per-game number or length, only one-byte windows, the toss stream
-    # and one round's compaction: 11.0 and 5.1 B per game at peak
+    # and one round's compaction: 10.0 and 4.1 B per game at peak
     tracemalloc.start()
     try:
         simulate(parse_pattern(text), trials, 1)
@@ -237,18 +235,26 @@ def test_simulate_memory_per_trial(text, trials):
     assert peak <= 14 * trials
 
 
-@pytest.mark.parametrize("m, trials", [(12, 2000), (17, 200)])
-def test_simulate_memory_in_blocks(m, trials):
-    # a block holds at most _BLOCK_TOSSES one-byte cells; its tape and hit
-    # mask, the previous block's and the stream's draws come to about 9.2
-    # and 7.5 of them at peak
+@pytest.mark.parametrize(
+    "text, trials",
+    [
+        pytest.param("1" * 12, 2000, id="12-2000"),
+        pytest.param("1" * 17, 200, id="17-200"),
+        pytest.param("1011010011", 2000, id="1011010011-2000"),
+    ],
+)
+def test_simulate_memory_in_blocks(text, trials):
+    # a block holds at most _BLOCK_TOSSES one-byte cells; only one block's
+    # tape and hit mask and the stream's draw are alive at once: 4.9, 2.5
+    # and 3.7 of them at peak
+    simulate(parse_pattern(text), 1, 1)  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        simulate(Pattern((1,) * m), trials, 1)
+        simulate(parse_pattern(text), trials, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * oracle._BLOCK_TOSSES
+    assert peak <= 7 * oracle._BLOCK_TOSSES
 
 
 _WIDE = st.integers(2**300, 2**1200)
@@ -292,6 +298,14 @@ def test_simulate_refuses_more_than_ten_million_trials(trials):
     # need terabytes
     with pytest.raises(TooLargeError):
         simulate(parse_pattern("110"), trials, 1)
+
+
+def test_simulate_takes_exactly_ten_million_trials(monkeypatch):
+    # the edge of the refusal above; no game is played, every one is taken
+    # to end on toss 3
+    monkeypatch.setattr(oracle, "_play", lambda p, trials, *_: {3: trials})
+    r = simulate(parse_pattern("110"), 10**7, 1)
+    assert (r.trials, r.sample_mean, r.max_game_length_seen) == (10**7, 3.0, 3)
 
 
 def test_default_guard_lets_a_game_past_a_million_tosses_finish():
