@@ -15,16 +15,19 @@ their new (m - 1)-toss windows; after the last toss their sum is sigma_n.
 The counts are uint32 and the fold is made in place, so memory is at most
 16 * 2**(m - 1) bytes whatever n is; time grows with n times that.
 
-The simulator reads one toss stream S from its seeded PCG64 generator:
-each raw 64-bit word gives 64 tosses, least significant bit first, so
-S[64*w + i] is bit i of word w.  Games are played in blocks of rounds.
-A block of B rounds with k live games reads the stream's next B*k tosses
-as B rows of k: row r gives the live game of rank j its r-th toss of the
-block, S[pos + r*k + j], and the next block starts at pos + B*k.  Every
-game that completes in the block is settled at its first completion and
-ignores the rest of its tosses there; the games still live at the
-block's end keep their rank order.  B comes from one rule that uses no
-engine value:
+The simulator reads its tosses from the raw 64-bit words of its seeded
+PCG64 generator, and keeps nothing between reads: a read of k tosses
+takes the next ceil(k / 64) words and gives their low k bits, least
+significant first, so toss 64*w + i of the read is bit i of its word w;
+the rest of the last word, fewer than 64 tosses, is never read.  Every
+toss is a fresh bit of PCG64 output, so the tosses a read leaves do not
+bias the games.  Games are played in blocks of rounds.  A block of B
+rounds with k live games makes one read of B*k tosses as B rows of k:
+row r gives the live game of rank j its r-th toss of the block, toss
+r*k + j of the read.  Every game that completes in the block is settled
+at its first completion and ignores the rest of its tosses there; the
+games still live at the block's end keep their rank order.  B comes from
+one rule that uses no engine value:
   - B = 1 for the first m - 1 tosses and while k * m > 2**15: one
     vectorised step per round on windows of the narrowest unsigned type
     that holds m tosses, since with that many live games some game
@@ -39,9 +42,9 @@ numpy work per toss, not Python work per round, and few tosses are
 scanned that no game plays: 2000 games of 1^12 (seed 3) scan 16.6M cells
 in 259 blocks for 16.5M tosses played.  Each toss is read once and one
 block is held at a time: the live games carry only their last m - 1
-tosses out of a block before the next is read.  A single game reads the
-stream in order whatever its blocks, so it plays the same game under any
-block rule.
+tosses out of a block before the next is read.  Which tosses a game gets
+depends on the blocks, so a seed plays the same games only under the
+same block rule.
 
 No game is tracked by number: the only per-game state is the live games'
 windows, and a call keeps ended[t], the number of games that ended on toss
@@ -69,6 +72,8 @@ from .errors import InvalidHorizonError, SimulationRunawayError, TooLargeError
 from .pattern import Pattern
 
 if TYPE_CHECKING:  # annotations only; the functions import numpy themselves
+    from collections.abc import Callable
+
     import numpy as np
 
 __all__ = [
@@ -97,8 +102,8 @@ _BLOCK_TOSSES = 1 << 16
 _FALSE_TRIP = 1e-12
 
 # Trials are not chunked (that would change which toss each game reads),
-# so the live windows and the toss stream hold every game at once: 4-10 B
-# per trial at peak, measured with tracemalloc.
+# so the live windows and one round's tosses hold every game at once:
+# 4-10 B per trial at peak, measured with tracemalloc.
 _MAX_TRIALS = 10**7
 
 
@@ -183,12 +188,12 @@ def simulate(
     """Play independent games to completion and report the sample mean.
 
     Each game tosses fair bits until its last len(p) tosses equal the
-    pattern.  All games read one PCG64 toss stream seeded with `seed`,
-    round-robin over the games still live, in blocks of rounds over a fixed
-    live set: every game that completes in a block ends at its first
-    completion, and the rest play on in the next (see the module
-    docstring).  So identical (pattern, trials, seed) always reproduce the
-    identical result, and one game plays the same game under any block rule.
+    pattern.  The games are played in blocks of rounds over a fixed live
+    set, and each block takes its tosses, one per live game per round, from
+    one read of fresh raw words of a PCG64 generator seeded with `seed`:
+    every game that completes in a block ends at its first completion, and
+    the rest play on in the next (see the module docstring).  So identical
+    (pattern, trials, seed) always reproduce the identical result.
     The statistics are computed from exact integer sums by the rule the
     module docstring states: the mean is rounded once and the standard
     error is the correctly rounded root.
@@ -220,8 +225,7 @@ def simulate(
 
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ended = _play(p, trials, _Tosses(rng), max_tosses)
+    ended = _play(p, trials, np.random.PCG64(seed).random_raw, max_tosses)
 
     total = sum(t * k for t, k in ended.items())
     squares = sum(t * t * k for t, k in ended.items())
@@ -266,35 +270,20 @@ def _runaway(max_tosses: int) -> SimulationRunawayError:
     )
 
 
-class _Tosses:
-    """The toss stream S (module docstring), read once, in order.
+def _read(raw: Callable[[int], np.ndarray], k: int) -> np.ndarray:
+    """k tosses: the low k bits of the next ceil(k / 64) raw words.
 
-    A read draws only the raw words it lacks and unpacks their bits, lowest
-    first (byte order and bit order both little-endian); the tosses of its
-    last word that it does not use, fewer than 64, wait for the next read.
+    Bits are taken lowest first (byte order and bit order both
+    little-endian), and the rest of the last word is never read.
     """
+    import numpy as np
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        import numpy as np
-
-        self._raw = rng.bit_generator.random_raw
-        self._ahead = np.empty(0, dtype=bool)  # drawn and not yet read
-
-    def read(self, k: int) -> np.ndarray:
-        """The next k tosses, which no later read sees again."""
-        tosses = self._ahead
-        if tosses.size < k:
-            import numpy as np
-
-            raw = self._raw(-((tosses.size - k) // 64)).astype("<u8", copy=False)
-            fresh = np.unpackbits(raw.view(np.uint8), bitorder="little").view(bool)
-            tosses = np.concatenate((tosses, fresh))
-        self._ahead = tosses[k:].copy()
-        return tosses[:k]
+    words = raw(-(-k // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=k, bitorder="little").view(bool)
 
 
 def _play(
-    p: Pattern, trials: int, stream: _Tosses, max_tosses: int
+    p: Pattern, trials: int, raw: Callable[[int], np.ndarray], max_tosses: int
 ) -> dict[int, int]:
     """Play `trials` games; return {toss: games that ended on that toss}.
 
@@ -320,7 +309,7 @@ def _play(
             raise _runaway(max_tosses)
         tosses += 1
         window += window  # the shift by one: uint8 shifts have no vector loop
-        window |= stream.read(window.size)
+        window |= _read(raw, window.size)
         window &= mask
         if tosses >= m:
             hit = window == pval
@@ -335,7 +324,7 @@ def _play(
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)
     ended.update(
-        _scan_blocks(tuple(map(bool, p.bits)), history, stream, tosses, max_tosses)
+        _scan_blocks(tuple(map(bool, p.bits)), history, raw, tosses, max_tosses)
     )
     return ended
 
@@ -343,7 +332,7 @@ def _play(
 def _scan_blocks(
     bits: tuple[bool, ...],
     history: np.ndarray,
-    stream: _Tosses,
+    raw: Callable[[int], np.ndarray],
     tosses: int,
     max_tosses: int,
 ) -> dict[int, int]:
@@ -353,8 +342,8 @@ def _scan_blocks(
     column per game in rank order, so k is its width; the result counts
     the games that end on each toss, as _play's does.  A block is
     min(2**m, _BLOCK_TOSSES // k, max_tosses - tosses) rounds, and row q
-    of it holds toss tosses + q + 1 of every live game: the stream's next
-    rounds x k tosses, read as a whole.  Stacked under history, a game
+    of it holds toss tosses + q + 1 of every live game: one read of
+    rounds x k tosses.  Stacked under history, a game
     completes in row q when rows q .. q + m - 1 of its column spell the
     pattern, so one pass per toss of the pattern finds every completing
     (row, game) cell of the block at once: a heads row is folded in with
@@ -370,7 +359,7 @@ def _scan_blocks(
         rounds = min(1 << m, _BLOCK_TOSSES // k, max_tosses - tosses)
         if rounds <= 0:
             raise _runaway(max_tosses)
-        tape = np.concatenate((history, stream.read(rounds * k).reshape(rounds, k)))
+        tape = np.concatenate((history, _read(raw, rounds * k).reshape(rounds, k)))
         hit = tape[:rounds] == bits[0]
         for i in range(1, m):
             fold = np.logical_and if bits[i] else np.greater

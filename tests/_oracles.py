@@ -8,10 +8,10 @@ two sides is meaningful evidence rather than the same code twice.
 import csv
 import io
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -330,42 +330,20 @@ def automaton_sigma_tau(pattern: str, horizon: int) -> tuple[list[int], list[int
     return sigma, tau
 
 
-def raw_word_tosses(seed: int) -> Iterator[int]:
-    """The simulator's toss stream from `seed`, one toss at a time.
-
-    Takes the raw 64-bit words of a PCG64 generator seeded with `seed`, a
-    batch at a time, and yields the bits of each word in turn, least
-    significant first, by plain int shifts: toss 64*w + i is bit i of word w.
-    """
-    raw = np.random.PCG64(seed).random_raw
-    while True:
-        for word in raw(256).tolist():
-            for i in range(64):
-                yield (word >> i) & 1
-
-
 def raw_word_reader(seed: int) -> Callable[[int], np.ndarray]:
-    """The stream of raw_word_tosses(seed), read k tosses at a time.
+    """The simulator's reads from `seed`, as a function of k.
 
-    The returned read(k) gives the next k tosses as an array of 0s and 1s.
-    Raw words join into one int, word w at bits 64*w .. 64*w + 63, so the
-    tosses waiting to be read are that int's bits, lowest first; a read cuts
-    k of them off the low end and spells them out in binary.
+    The returned read(k) takes the next ceil(k / 64) raw 64-bit words of a
+    PCG64 generator seeded with `seed` and joins them into one int, word w
+    at bits 64*w .. 64*w + 63; the k tosses are that int's low k bits,
+    lowest first, cut off with a mask and spelled out in binary as an
+    array of 0s and 1s.  The rest of the last word is dropped.
     """
     raw = np.random.PCG64(seed).random_raw
-    pending, have = 0, 0
 
     def read(k: int) -> np.ndarray:
-        nonlocal pending, have
-        if have < k:
-            words = raw(k // 64 + 1).astype("<u8").tobytes()
-            pending |= int.from_bytes(words, "little") << have
-            have += 8 * len(words)
-        bits = pending & ((1 << k) - 1)
-        pending >>= k
-        have -= k
-        if k < len(_FEW_TOSSES):
-            return _FEW_TOSSES[k][bits]
+        words = raw(-(-k // 64)).astype("<u8").tobytes()
+        bits = int.from_bytes(words, "little") & ((1 << k) - 1)
         digits = f"{bits:0{k}b}"[::-1].encode()
         return np.frombuffer(digits.translate(_DIGIT_VALUES), np.uint8)
 
@@ -373,11 +351,6 @@ def raw_word_reader(seed: int) -> Callable[[int], np.ndarray]:
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-# every run of k <= 8 tosses as an array, so rounds with few live games build none
-_FEW_TOSSES = [
-    [np.array([(bits >> i) & 1 for i in range(k)], np.uint64) for bits in range(1 << k)]
-    for k in range(9)
-]
 
 
 def per_toss_simulation(
@@ -385,11 +358,11 @@ def per_toss_simulation(
 ) -> tuple[float, float, int] | None:
     """Monte Carlo games played one toss per live game per round, in blocks.
 
-    A block of B rounds keeps one live set of k games.  Every round of it
-    takes the stream's next toss for each of them, in trial order, from
-    raw_word_reader(seed), and shifts it into that game's window of its
-    last m tosses; the bits a round leaves in its word wait for the next
-    round.  A game ends at its first completion and ignores its later
+    A block of B rounds keeps one live set of k games and makes one read of
+    B * k tosses from raw_word_reader(seed).  Round r of the block takes
+    tosses r*k .. r*k + k - 1 of that read, one for each live game in trial
+    order, and shifts it into that game's window of its last m tosses.  A
+    game ends at its first completion and ignores its later
     tosses in the block; the games that ended leave the live set when the
     block ends.  B is 1 for the first m - 1 tosses and while k * m > 2**15,
     and min(2**m, 2**16 // k, tosses left under the cap) after.  Returns
@@ -421,10 +394,10 @@ def per_toss_simulation(
             if block <= 0:
                 return None
         finished = np.zeros(alive.size, dtype=bool)
-        for _ in range(block):
+        for row in read(block * alive.size).reshape(block, alive.size):
             tosses += 1
             window <<= one
-            window |= read(alive.size)
+            window |= row
             window &= mask
             if tosses >= m:
                 hit = window == pval

@@ -3,7 +3,6 @@
 import decimal
 import random
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from _oracles import (
     enumerated_completions,
     per_toss_simulation,
     raw_word_reader,
-    raw_word_tosses,
 )
 
 
@@ -161,23 +159,28 @@ def test_tally_matches_numpy_enumeration_at_n_20(text):
 # -- simulation --------------------------------------------------------
 
 
-def test_toss_stream_is_the_raw_words_low_bit_first():
-    # toss 64*w + i is bit i of raw word w, also across reads that split a word
-    stream = oracle._Tosses(np.random.Generator(np.random.PCG64(2026)))
-    reference = raw_word_tosses(2026)
+def _fresh_word_bits(raw, k):
+    # the low k bits of the next ceil(k / 64) words, lowest first, by int shifts
+    words = raw(-(-k // 64)).tolist()
+    return [(words[i // 64] >> (i % 64)) & 1 for i in range(k)]
+
+
+def test_each_read_is_the_low_bits_of_fresh_raw_words():
+    # a read never sees the bits an earlier read left in its last word
+    raw = np.random.PCG64(2026).random_raw
+    reference = np.random.PCG64(2026).random_raw
     for k in (1, 63, 64, 65, 2**15 + 3, 5):
-        tosses = stream.read(k)
+        tosses = oracle._read(raw, k)
         assert tosses.dtype == bool
-        assert tosses.tolist() == [bit == 1 for bit in islice(reference, k)]
+        assert tosses.tolist() == [bit == 1 for bit in _fresh_word_bits(reference, k)]
 
 
-def test_reading_tosses_in_rounds_is_the_same_stream():
-    # the per-toss replay reads a round's tosses at once, from runs below
-    # and above the small-run table, across word and batch boundaries
-    reference = raw_word_tosses(2026)
+def test_reference_read_is_the_low_bits_of_fresh_raw_words():
+    # the per-toss replay's reads, across word boundaries and within one word
     read = raw_word_reader(2026)
+    reference = np.random.PCG64(2026).random_raw
     for k in (1, 8, 9, 3, 63, 64, 65, 3000, 2, 200, 1, 5000, 7):
-        assert read(k).tolist() == list(islice(reference, k))
+        assert read(k).tolist() == _fresh_word_bits(reference, k)
 
 
 def test_simulation_is_deterministic():
@@ -309,7 +312,7 @@ def test_simulate_takes_exactly_ten_million_trials(monkeypatch):
 
 
 def test_default_guard_lets_a_game_past_a_million_tosses_finish():
-    # mean wait 2**19 - 2; this seed's game runs 1,123,915 tosses, while the
+    # mean wait 2**19 - 2; this seed's game runs 1,122,844 tosses, while the
     # default cap for 18 tosses and one game is 18 * ceil(log(1e-12) /
     # log(1 - 2**-18)), about 1.3e8
     r = simulate(Pattern((1,) * 18), 1, 2)
