@@ -6,7 +6,7 @@ Five subcommands cover the library's capabilities:
     table     every canonical pattern of given lengths grouped by average
     dist      exact first-occurrence distribution out to a horizon
     simulate  seeded Monte Carlo games compared against the exact value
-    verify    exact identity checks plus brute-force cross-validation
+    verify    exact identity checks plus an exhaustive window-count tally
 
 Each command renders as aligned text (default), CSV or JSON via --format,
 written to stdout or to --output.  Exit codes: 0 success, 1 usage or parse

@@ -227,8 +227,8 @@ def test_simulate_rejects_bad_inputs():
 
 @pytest.mark.parametrize("text, trials", [("110", 10**6), ("111111", 2 * 10**5)])
 def test_simulate_memory_per_trial(text, trials):
-    # no per-game number or length, only one-byte windows, the toss stream
-    # and one round's compaction: 10.0 and 4.1 B per game at peak
+    # no per-game number or length, only one-byte windows, one round's tosses
+    # and one round's compaction: 10.0 and 4.0 B per game at peak
     tracemalloc.start()
     try:
         simulate(parse_pattern(text), trials, 1)
@@ -239,17 +239,19 @@ def test_simulate_memory_per_trial(text, trials):
 
 
 @pytest.mark.parametrize(
-    "text, trials",
+    "text, trials, budgets",
     [
-        pytest.param("1" * 12, 2000, id="12-2000"),
-        pytest.param("1" * 17, 200, id="17-200"),
-        pytest.param("1011010011", 2000, id="1011010011-2000"),
+        pytest.param("1" * 12, 2000, 5.75, id="12-2000"),
+        pytest.param("1" * 17, 200, 3.0, id="17-200"),
+        pytest.param("1011010011", 2000, 4.5, id="1011010011-2000"),
     ],
 )
-def test_simulate_memory_in_blocks(text, trials):
+def test_simulate_memory_in_blocks(text, trials, budgets):
     # a block holds at most _BLOCK_TOSSES one-byte cells; only one block's
-    # tape and hit mask and the stream's draw are alive at once: 4.9, 2.5
-    # and 3.7 of them at peak
+    # tape and hit mask and its read are alive at once: 4.97, 2.44 and 3.71
+    # of them at peak, so each bound leaves 15-23% for other numpy versions.
+    # A tape kept alive into the next block's read reads 6.5 / 4.4 / 5.5,
+    # and history kept as a view of the tape 4.9 / 3.35 / 3.6
     simulate(parse_pattern(text), 1, 1)  # numpy's first-call allocations
     tracemalloc.start()
     try:
@@ -257,7 +259,7 @@ def test_simulate_memory_in_blocks(text, trials):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * oracle._BLOCK_TOSSES
+    assert peak <= budgets * oracle._BLOCK_TOSSES
 
 
 _WIDE = st.integers(2**300, 2**1200)
