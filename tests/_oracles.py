@@ -362,10 +362,10 @@ def per_toss_simulation(
     B * k tosses from raw_word_reader(seed).  Round r of the block takes
     tosses r*k .. r*k + k - 1 of that read, one for each live game in trial
     order, and shifts it into that game's window of its last m tosses.  A
-    game ends at its first completion and ignores its later
-    tosses in the block; the games that ended leave the live set when the
-    block ends.  B is 1 for the first m - 1 tosses and while k * m > 2**15,
-    and min(2**m, 2**16 // k, tosses left under the cap) after.  Returns
+    game ends at its first completion and ignores its later tosses in the
+    block; the games that ended leave the live set when the block ends.  B
+    is 1 for the first m - 1 tosses and while k * m > 2**15, and
+    min(2**m, 2**16 // k, tosses left under the cap) after.  Returns
     (sample mean, standard error of the mean, longest game), or None when
     some game is still live after `max_tosses` tosses (no limit when None).
     The statistics come from the exact sums of the game lengths and of
