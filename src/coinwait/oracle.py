@@ -27,11 +27,10 @@ row r gives the live game of rank j its r-th toss of the block, toss
 r*k + j of the read.  Every game that completes in the block is settled
 at its first completion and ignores the rest of its tosses there; the
 games still live at the block's end keep their rank order.  B comes from
-one rule that uses no engine value:
-  - B = 1 for the first m - 1 tosses and while k * m > 2**15: one
-    vectorised step per round on windows of the narrowest unsigned type
-    that holds m tosses, since with that many live games some game
-    completes nearly every round;
+one rule that uses no engine value, from a game's first toss on:
+  - B = 1 while k * m > 2**15: one vectorised step per round on windows
+    of the narrowest unsigned type that holds m tosses, since with that
+    many live games some game completes nearly every round;
   - otherwise B = min(2**m, 2**16 // k, tosses left under the cap).
     2**16 tosses is the block budget; B reaches 2m rounds exactly where
     k * m falls to 2**15.  Every mean wait is at least 2**m, so the 2**m
@@ -42,9 +41,10 @@ numpy work per toss, not Python work per round, and few tosses are
 scanned that no game plays: 2000 games of 1^12 (seed 3) scan 17.0M cells
 in 268 blocks for 16.9M tosses played.  Each toss is read once and one
 block is held at a time: the live games carry only their last m - 1
-tosses out of a block before the next is read.  Which tosses a game gets
-depends on the blocks, so a seed plays the same games only under the
-same block rule.
+tosses out of a block before the next is read.  A window's untossed
+places hold the opposite of the pattern's first toss, so none matches
+before toss m.  A seed plays the same games only under the same block
+rule; one game with m >= 6 reads every raw bit in order.
 
 No game is tracked by number: the only per-game state is the live games'
 windows, and a call keeps ended[t], the number of games that ended on toss
@@ -89,8 +89,8 @@ __all__ = [
 ENUMERATION_CEILING = 24
 
 # The block budget, the only constant of the block rule (module docstring):
-# at most this many tosses (live games x rounds) in one block.  Rounds go in
-# blocks once a block holds 2m rounds, that is for live games x m <= budget / 2;
+# at most this many tosses (live games x rounds) in one block.  From the first
+# toss, rounds go in blocks when one holds 2m rounds: live games x m <= budget / 2;
 # with more live games some game completes nearly every round, and one
 # vectorised step per round is cheaper.  On a shared 2-core VM, 2**17 ran
 # nine sim-tail calls in 0.32-0.55 s against 0.36-0.49 s (6 alternating
@@ -287,11 +287,12 @@ def _play(
 ) -> dict[int, int]:
     """Play `trials` games; return {toss: games that ended on that toss}.
 
-    Rounds are single vectorised steps until every live game has m - 1
-    tosses and a block holds 2m rounds (module docstring); _scan_blocks
-    plays the rest.  window holds each live game's last m tosses as an
-    integer of the narrowest unsigned type that fits them (1 B up to 8
-    tosses), first toss most significant, in rank order; it shrinks only in
+    Rounds are single vectorised steps until a block holds 2m rounds
+    (module docstring); _scan_blocks plays the rest.  window holds each
+    live game's last m tosses as an integer of the narrowest unsigned type
+    that fits them (1 B up to 8 tosses), first toss most significant, in
+    rank order, with the opposite of the pattern's first toss in every
+    place not yet tossed, so it cannot match early; it shrinks only in
     rounds where some game completes.  A boolean mask compacts it fastest
     when few games finish, since it copies long kept runs whole, and an
     index array when many do, since a mask then branches on every short run.
@@ -301,25 +302,24 @@ def _play(
     m = len(p)
     word = np.min_scalar_type((1 << m) - 1).type  # unsigned, m bits or more
     pval, mask = word(int(str(p), 2)), word((1 << m) - 1)
-    window = np.zeros(trials, dtype=word)
+    window = np.full(trials, 0 if p.bits[0] else mask, dtype=word)
     ended: dict[int, int] = {}
     tosses = 0
-    while 2 * m * window.size > _BLOCK_TOSSES or tosses < m - 1:
+    while 2 * m * window.size > _BLOCK_TOSSES:
         if tosses >= max_tosses:
             raise _runaway(max_tosses)
         tosses += 1
         window += window  # the shift by one: uint8 shifts have no vector loop
         window |= _read(raw, window.size)
         window &= mask
-        if tosses >= m:
-            hit = window == pval
-            done = int(np.count_nonzero(hit))  # a Python int: t*t*k must not wrap
-            if done:
-                ended[tosses] = done
-                if done * 32 < window.size:  # faster below about 1 in 25
-                    window = window[~hit]
-                else:
-                    window = window.take(np.flatnonzero(~hit))
+        hit = window == pval
+        done = int(np.count_nonzero(hit))  # a Python int: t*t*k must not wrap
+        if done:
+            ended[tosses] = done
+            if done * 32 < window.size:  # faster below about 1 in 25
+                window = window[~hit]
+            else:
+                window = window.take(np.flatnonzero(~hit))
     # The last m - 1 tosses of each live game, oldest first, one row each.
     ages = np.arange(m - 2, -1, -1, dtype=word)
     history = ((window >> ages[:, None]) & 1).astype(bool)

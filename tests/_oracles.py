@@ -364,8 +364,8 @@ def per_toss_simulation(
     order, and shifts it into that game's window of its last m tosses.  A
     game ends at its first completion and ignores its later tosses in the
     block; the games that ended leave the live set when the block ends.  B
-    is 1 for the first m - 1 tosses and while k * m > 2**15, and
-    min(2**m, 2**16 // k, tosses left under the cap) after.  Returns
+    is 1 while k * m > 2**15 and min(2**m, 2**16 // k, tosses left under
+    the cap) otherwise; no game ends before its own toss m.  Returns
     (sample mean, standard error of the mean, longest game), or None when
     some game is still live after `max_tosses` tosses (no limit when None).
     The statistics come from the exact sums of the game lengths and of
@@ -385,7 +385,7 @@ def per_toss_simulation(
     window = np.zeros(trials, dtype=np.uint64)
     tosses = 0
     while alive.size:
-        if tosses < m - 1 or alive.size * m > 2**15:
+        if alive.size * m > 2**15:
             block = 1
         else:
             block = min(2**m, 2**16 // alive.size)

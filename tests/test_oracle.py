@@ -314,7 +314,7 @@ def test_simulate_takes_exactly_ten_million_trials(monkeypatch):
 
 
 def test_default_guard_lets_a_game_past_a_million_tosses_finish():
-    # mean wait 2**19 - 2; this seed's game runs 1,122,844 tosses, while the
+    # mean wait 2**19 - 2; this seed's game runs 1,123,915 tosses, while the
     # default cap for 18 tosses and one game is 18 * ceil(log(1e-12) /
     # log(1 - 2**-18)), about 1.3e8
     r = simulate(Pattern((1,) * 18), 1, 2)
@@ -328,7 +328,7 @@ def _assert_matches_per_toss(text, trials, seed, max_tosses=None):
     if expected is None:
         with pytest.raises(SimulationRunawayError):
             simulate(p, trials, seed, **kwargs)
-        return
+        return None
     mean, stderr, longest = expected
     assert simulate(p, trials, seed, **kwargs) == SimulationResult(
         pattern=p,
@@ -339,6 +339,7 @@ def _assert_matches_per_toss(text, trials, seed, max_tosses=None):
         sample_stderr=stderr,
         max_game_length_seen=longest,
     )
+    return expected
 
 
 @pytest.mark.parametrize("length", range(1, 7))
@@ -369,21 +370,42 @@ def test_simulate_matches_per_toss_reference_long_patterns(length):
         ("101", 3000, 1, 9),
         ("10110", 40, 3, 60),
         ("1", 1, 4, 1),
-        # k * m = 2**15 exactly after the first toss: blocks of 2m = 4 rounds
+        # k * m = 2**15 exactly: blocks of 2m = 4 rounds from the first toss
         ("10", 16384, 2, None),
         # 2**m = 64 rounds per block, under the budget's 655
         ("110101", 100, 6, None),
-        # blocks of 256 from toss 7; the longest game ends on toss 992, so
-        # the fourth block is cut to 217 rounds and settles it, or is cut
-        # one round short of it and trips the guard
-        ("11111111", 20, 5, 992),
-        ("11111111", 20, 5, 991),
     ],
 )
 def test_simulate_matches_per_toss_reference_at_mode_switch_and_cap(
     text, trials, seed, max_tosses
 ):
     _assert_matches_per_toss(text, trials, seed, max_tosses)
+
+
+@pytest.mark.parametrize("max_tosses, longest", [(927, 927), (926, None)])
+def test_simulate_matches_per_toss_reference_when_the_cap_cuts_a_block(
+    max_tosses, longest
+):
+    # blocks of 256 from the first toss; the longest game ends on toss 927,
+    # so the fourth block is cut to 159 rounds and settles it at the cap,
+    # or is cut one round short of it and trips the guard
+    expected = _assert_matches_per_toss("11111111", 20, 5, max_tosses)
+    assert (expected and expected[2]) == longest
+
+
+@pytest.mark.parametrize("length", [6, 8, 12, 16])
+def test_a_single_game_reads_the_raw_words_in_order(length):
+    # one game's blocks are 2**m tosses, whole raw words from its first toss,
+    # so it ends where the pattern first ends in the raw bits, lowest first
+    rng = random.Random(length)
+    for seed in range(1, 8):
+        text = str(seed % 2) + "".join(rng.choice("01") for _ in range(length - 1))
+        read = raw_word_reader(seed)
+        bits = ""
+        while (start := bits.find(text)) < 0:
+            bits += (read(1 << 16) + ord("0")).tobytes().decode()
+        r = simulate(parse_pattern(text), 1, seed)
+        assert r.max_game_length_seen == start + length
 
 
 def test_sample_means_track_exact_values_across_seeds():
