@@ -175,10 +175,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # A command's answer: JSON inputs and results, CSV header and rows (each row a
-# list of cells in header order), a callable that yields the text lines on
-# demand, and the exit status.  dist gives its rows as an iterator, read once
-# as they are written; in JSON they are results["rows"] (see _stream), and dist
-# sets its other results after the last.
+# list of cells in header order, written with str; expect and simulate, whose
+# cells can be None or a list, pass their row through _csv_cell), a callable
+# that yields the text lines on demand, and the exit status.  dist gives its
+# rows as an iterator, read once as they are written; in JSON they are
+# results["rows"] (see _stream), and dist sets its other results after the last.
 _Record = namedtuple("_Record", "inputs results header rows text status")
 
 
@@ -217,7 +218,7 @@ def _render(command: str, fmt: str, record: _Record, out) -> None:
     elif fmt == "csv":
         out.write(",".join(record.header) + "\n")
         for cells in record.rows:
-            out.write(",".join(map(_csv_cell, cells)) + "\n")
+            out.write(",".join(map(str, cells)) + "\n")
     elif isinstance(record.rows, Iterator):
         _stream(command, record, out)
     else:
@@ -291,7 +292,7 @@ def _cmd_expect(args) -> _Record:
 
     header = [key for key in results if key != "heads_tails"]
     inputs = {"pattern": args.pattern, "stake": args.stake}
-    row = [results[key] for key in header]
+    row = [_csv_cell(results[key]) for key in header]
     return _Record(inputs, results, header, [row], text, EXIT_OK)
 
 
@@ -381,7 +382,7 @@ def _cmd_simulate(args) -> _Record:
         ])
 
     inputs = {"pattern": args.pattern, "trials": args.trials, "seed": args.seed}
-    row = list(results.values())
+    row = list(map(_csv_cell, results.values()))
     return _Record(inputs, results, list(results), [row], text, EXIT_OK)
 
 
