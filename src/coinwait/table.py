@@ -19,8 +19,9 @@ every overlap, the table lists, for each period p in 1..L-1, the 2**p
 codes that have it (the 2**(p-1) leading with 1 when canonical) and adds
 2**(L-p) to each: one add per period a code has, 2**(L-1) - 1 adds per
 length in all (2**L - 2 with complements), where testing every overlap
-takes L - 1 tests per code.  tests/test_table.py checks every row of lengths 1..16
-against the overlap rule itself (tests/_oracles.py).
+takes L - 1 tests per code.  tests/test_table.py checks every row of
+lengths 1..20, the ceiling, against the overlap rule itself
+(tests/_oracles.py).
 """
 
 from __future__ import annotations
