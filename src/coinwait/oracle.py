@@ -38,8 +38,8 @@ one rule that uses no engine value, from a game's first toss on:
 Within a block all B * k cells are scanned at once, one pass per toss of
 the pattern whatever its bits, so the long tail of a long pattern costs
 numpy work per toss, not Python work per round, and few tosses are
-scanned that no game plays: 2000 games of 1^12 (seed 3) scan 17.0M cells
-in 268 blocks for 16.9M tosses played.  Each toss is read once and one
+scanned that no game plays: 2000 games of 1^12 (seed 3) scan 16.8M cells
+in 262 blocks for 16.6M tosses played.  Each toss is read once and one
 block is held at a time: the live games carry only their last m - 1
 tosses out of a block before the next is read.  A window's untossed
 places hold the opposite of the pattern's first toss, so none matches
