@@ -174,12 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- the one record and its renderer ------------------------------------
 
 
-# A command's answer: JSON inputs and results, CSV header and rows (each row a
-# list of cells in header order, written with str; expect and simulate, whose
-# cells can be None or a list, pass their row through _csv_cell), a callable
-# that yields the text lines on demand, and the exit status.  dist gives its
-# rows as an iterator, read once as they are written; in JSON they are
-# results["rows"] (see _stream), and dist sets its other results after the last.
+# A command's answer: JSON inputs and results, CSV header and rows, a callable
+# that yields the text lines on demand, and the exit status.  Rows are plain
+# values in header order, built lazily and read at most once: by the CSV
+# writer, the one place a cell becomes text (str), or, for dist, by _stream as
+# results["rows"] (dist then sets its other results) and by dist's own text.
 _Record = namedtuple("_Record", "inputs results header rows text status")
 
 
@@ -187,19 +186,20 @@ def _json_safe(value):
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
+        return [item if isinstance(item, str) else _json_safe(item) for item in value]
     if isinstance(value, int) and not isinstance(value, bool):
         return value if abs(value) <= _JSON_SAFE_INT else str(value)
     return value
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(value):
+    # The shaping str cannot do; the CSV writer applies str to what comes back.
     # No cell holds a comma, a quote or a line break, so none is quoted.
     if value is None:
         return ""
     if isinstance(value, list):
         return ";".join(map(str, value))
-    return str(value)
+    return value
 
 
 def _aligned(rows, right=()) -> Iterator[str]:
@@ -219,7 +219,7 @@ def _render(command: str, fmt: str, record: _Record, out) -> None:
         out.write(",".join(record.header) + "\n")
         for cells in record.rows:
             out.write(",".join(map(str, cells)) + "\n")
-    elif isinstance(record.rows, Iterator):
+    elif command == "dist":
         _stream(command, record, out)
     else:
         payload = dict(command=command, inputs=record.inputs, results=record.results)
@@ -292,7 +292,7 @@ def _cmd_expect(args) -> _Record:
 
     header = [key for key in results if key != "heads_tails"]
     inputs = {"pattern": args.pattern, "stake": args.stake}
-    row = [_csv_cell(results[key]) for key in header]
+    row = map(_csv_cell, map(results.get, header))
     return _Record(inputs, results, header, [row], text, EXIT_OK)
 
 
@@ -300,7 +300,7 @@ def _cmd_table(args) -> _Record:
     lo, hi = _checked_lengths(args.lengths, lowest=2)
     rows = waiting_time_table(range(lo, hi + 1), include_complements=args.all_patterns)
     results = [{k: getattr(row, k) for k in TableRow.__slots__} for row in rows]
-    flat = [[row.length, row.average, p] for row in rows for p in row.patterns]
+    flat = ([row.length, row.average, p] for row in rows for p in row.patterns)
 
     def text():
         cells = [[row.length, row.average, " ".join(row.patterns)] for row in rows]
@@ -382,7 +382,7 @@ def _cmd_simulate(args) -> _Record:
         ])
 
     inputs = {"pattern": args.pattern, "trials": args.trials, "seed": args.seed}
-    row = list(map(_csv_cell, results.values()))
+    row = map(_csv_cell, results.values())
     return _Record(inputs, results, list(results), [row], text, EXIT_OK)
 
 
@@ -449,7 +449,7 @@ def _cmd_verify(args) -> _Record:
         ]
 
     header = [key for key in results[0] if key != "failures"]
-    rows = [[r[key] for key in header] for r in results]
+    rows = ([r[key] for key in header] for r in results)
     inputs = dict(lengths=f"{lo}..{hi}", horizon=args.horizon, oracle_n=args.oracle_n)
     status = EXIT_VERIFICATION_FAILED if failed else EXIT_OK
     summary = {"patterns": results, "all_ok": not failed}

@@ -675,6 +675,48 @@ def test_a_failing_command_creates_no_output_file(tmp_path, capsys):
     assert not target.exists()
 
 
+class _RowsRead(Exception):
+    """Raised where a test's rows are read; main handles no such error."""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("expect-10101-stake5", ["expect", "10101", "--stake", "5"]),
+        ("simulate-11-seed9", ["simulate", "11", "--trials", "2000", "--seed", "9"]),
+    ],
+    ids=["expect", "simulate"],
+)
+def test_text_and_json_never_shape_a_csv_cell(name, argv, fmt, capsys, monkeypatch):
+    def refuse(value):
+        raise _RowsRead(value)
+
+    monkeypatch.setattr(cli, "_csv_cell", refuse)
+    code, out, err = run([*argv, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    golden = Path(__file__).parent / "golden" / f"{name}.{fmt}.out"
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_only_csv_and_dist_read_a_records_rows(fmt):
+    def rows():
+        raise _RowsRead
+        yield
+
+    record = cli._Record({"pattern": "1"}, {"length": 1}, ["length"], rows(),
+                         lambda: ["length  1"], 0)
+    out = io.StringIO()
+    cli._render("expect", fmt, record, out)
+    want = {
+        "text": "length  1\n",
+        "json": '{\n  "command": "expect",\n  "inputs": {\n    "pattern": "1"\n  },\n'
+        '  "results": {\n    "length": 1\n  }\n}\n',
+    }
+    assert out.getvalue() == want[fmt]
+
+
 @pytest.mark.parametrize(
     "target, reason",
     [
