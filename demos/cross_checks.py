@@ -2,9 +2,10 @@
 
 The counting engine is exact, but exactness does not prove correctness.
 This demo confronts it with an exhaustive tally of all 2^n strings, which
-counts them by their last m - 1 tosses and compares each m-toss window with
-the pattern directly (numpy, eight counts here), and with a seeded Monte
-Carlo simulation of actual coin-toss games.
+counts them by their prefix state, the longest prefix of the pattern that
+ends them, with moves built from the pattern's bits alone (plain Python,
+four counts here), and with a seeded Monte Carlo simulation of actual
+coin-toss games.
 """
 
 from coinwait import (

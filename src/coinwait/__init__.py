@@ -4,7 +4,7 @@ The central quantity is the expected number of tosses before a chosen
 pattern first appears.  It is computed exactly from the pattern's
 self-overlap structure, cross-checked by an exact counting engine
 (avoidance and first-occurrence counts), and validated against an
-exhaustive window-count tally and Monte Carlo simulation.
+exhaustive prefix-state tally and Monte Carlo simulation.
 
 Each module declares its public names in its own __all__, and the package
 exports all of them.

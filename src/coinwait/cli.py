@@ -6,7 +6,7 @@ Five subcommands cover the library's capabilities:
     table     every canonical pattern of given lengths grouped by average
     dist      exact first-occurrence distribution out to a horizon
     simulate  seeded Monte Carlo games compared against the exact value
-    verify    exact identity checks plus an exhaustive window-count tally
+    verify    exact identity checks plus an exhaustive prefix-state tally
 
 Each command renders as aligned text (default), CSV or JSON via --format,
 written to stdout or to --output.  Exit codes: 0 success, 1 usage or parse
@@ -49,7 +49,7 @@ _JSON_SAFE_INT = (1 << 53) - 1
 # table and verify enumerate the 2**(L-1) canonical patterns of each length L,
 # so each length past 12 at least doubles their cost.  For 2..12, table takes
 # 0.004-0.006 s (0.012-0.024 s with --all-patterns --format csv) and verify
-# 0.6-1.2 s of CPU in process (shared 2-core VM, Python 3.11.7, numpy 2.4.6).
+# 0.5-0.9 s of CPU in process (shared 2-core VM, Python 3.11.7).
 _MAX_LENGTH = 12
 
 
@@ -262,7 +262,7 @@ def _stream(command: str, record: _Record, out) -> None:
 
 
 def _cmd_expect(args) -> _Record:
-    # A negative stake is rejected by expected_profit with a ValueError.
+    # A negative stake is rejected by waiting_time_report with a ValueError.
     report = waiting_time_report(parse_pattern(args.pattern), args.stake)
     p = report.pattern
     results = {

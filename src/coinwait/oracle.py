@@ -1,19 +1,15 @@
-"""Independent ground truth: exhaustive window counts and Monte Carlo games.
+"""Independent ground truth: exhaustive prefix-state counts and Monte Carlo games.
 
 Nothing in this module touches the counting engine.  The exhaustive tally
-classifies every binary string of a given length by comparing its m-toss
-windows with the pattern directly; the simulator plays games against
-freshly tossed bits, comparing each game's last m tosses with the
-pattern.  Agreement with the engine's sigma/tau sequences and with the
-closed-form means is therefore a genuine cross-check, not a tautology.
-
-The tally counts the strings that still avoid the pattern by their last
-m - 1 tosses, one count per window, starting at length m - 1 with every
-count 1.  Appending a toss splits each count in two; the count whose last
-m tosses spell the pattern is tau_j and drops out, and the rest fold onto
-their new (m - 1)-toss windows; after the last toss their sum is sigma_n.
-The counts are uint32 and the fold is made in place, so memory is at most
-16 * 2**(m - 1) bytes whatever n is; time grows with n times that.
+counts every binary string of a given length by its prefix state, the
+length of the longest prefix of the pattern that ends it.  Each appended
+toss moves every count along its state's two moves, built from the
+pattern's bits alone; what reaches state m is tau_j and drops out, and the
+sum left after the last toss is sigma_n: n * m additions on m Python ints.
+The simulator plays games against freshly tossed bits, comparing each
+game's last m tosses with the pattern.  Agreement with the engine's
+sigma/tau sequences and with the closed-form means is therefore a genuine
+cross-check, not a tautology.
 
 The simulator reads its tosses from the raw 64-bit words of its seeded
 PCG64 generator, and keeps nothing between reads: a read of k tosses
@@ -56,10 +52,8 @@ is the correctly rounded sqrt((trials * Q - S**2) / (trials**2 *
 So they depend only on the multiset of game lengths, not on which game
 had which length or on any order of summation.
 
-numpy is imported inside the functions that use it, so it loads on the
-first simulation or tally.  Importing coinwait, and the `expect`, `table`
-and `dist` commands, never load it: numpy's import is most of a fresh
-process's start-up.
+numpy is imported inside the simulator's functions, so only `simulate`
+loads it: numpy's import is most of a fresh process's start-up.
 """
 
 from __future__ import annotations
@@ -83,9 +77,7 @@ __all__ = [
     "simulate",
 ]
 
-# The largest n the tally counts to.  Since m <= n, it also bounds the
-# tally's memory: at most 128 MiB, at m = 24.  It must stay <= 32, because
-# the window counts are uint32 and each is at most 2**(n - 1).
+# The largest n the tally counts to, kept as `verify`'s --oracle-n contract.
 ENUMERATION_CEILING = 24
 
 # The block budget, the only constant of the block rule (module docstring):
@@ -133,13 +125,8 @@ class ExhaustiveTally:
 def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
     """Classify every length-n string by where the pattern first completes.
 
-    Strings are counted by their last m - 1 tosses, as the module docstring
-    describes: each step appends one toss and compares every m-toss window
-    with the pattern directly, so the strings that complete it leave the
-    count at their first completion.  No overlap of the pattern is used.
-    All counting is exact.  n may not exceed 24.  Memory is at most
-    16 * 2**(m - 1) bytes for every n; tracemalloc reads 0.03 MiB at m = 12,
-    8 MiB at m = 20 and 96 MiB at m = 24 (n = 24).
+    Strings are counted by prefix state (module docstring), exactly and
+    with no overlap set of the engine.  n may not exceed 24.
     """
     m = len(p)
     if n < m:
@@ -148,25 +135,38 @@ def exhaustive_tally(p: Pattern, n: int) -> ExhaustiveTally:
         raise TooLargeError(
             f"n={n} exceeds the enumeration ceiling {ENUMERATION_CEILING}"
         )
-
-    import numpy as np
-
-    pval = int(str(p), 2)
-    states = 1 << (m - 1)
-    counts = np.ones(states, dtype=np.uint32)  # every string of length m - 1
+    moves = _prefix_moves(p.bits)
+    counts = [1] + [0] * (m - 1)  # the empty string, in state 0
     first_occurrence_counts: dict[int, int] = {}
-    for j in range(m, n + 1):
-        grown = counts.repeat(2)  # entry 2w + b: window w, then toss b
-        first_occurrence_counts[j] = grown.item(pval)
-        grown[pval] = 0
-        counts = grown[:states]  # drop the oldest toss: the two halves
-        counts += grown[states:]  # share their last m - 1, so add in place
+    for j in range(1, n + 1):
+        grown = [0] * (m + 1)
+        for count, (tail, head) in zip(counts, moves):
+            grown[tail] += count
+            grown[head] += count
+        if j >= m:  # state m: the pattern completes on toss j
+            first_occurrence_counts[j] = grown[m]
+        counts = grown[:m]
     return ExhaustiveTally(
         pattern=p,
         n=n,
         first_occurrence_counts=first_occurrence_counts,
-        avoiding_count=int(counts.sum()),
+        avoiding_count=sum(counts),
     )
+
+
+def _prefix_moves(bits: tuple[int, ...]) -> list[list[int]]:
+    """Row k is [state after a 0, state after a 1] from prefix state k.
+
+    bits[k] moves state k to k + 1; the other toss moves it as it moves the
+    restart state x, the state bits[1:k] leads to, so the table is O(m).
+    """
+    moves, x = [[0, 0]], 0
+    moves[0][bits[0]] = 1
+    for k in range(1, len(bits)):
+        moves.append(moves[x].copy())
+        moves[k][bits[k]] = k + 1
+        x = moves[x][bits[k]]
+    return moves
 
 
 @dataclass(frozen=True, slots=True)

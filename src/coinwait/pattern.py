@@ -176,9 +176,7 @@ def expected_profit(p: Pattern, stake: int) -> int:
     before the pattern completes, so the expectation is exact:
     expected_waiting_time(p) - stake.
     """
-    if stake < 0:
-        raise ValueError("stake must be nonnegative")
-    return expected_waiting_time(p) - stake
+    return waiting_time_report(p, stake).expected_profit
 
 
 def waiting_time_bounds(m: int) -> tuple[int, int]:
@@ -208,10 +206,12 @@ class WaitingTimeReport:
 
 def waiting_time_report(p: Pattern, stake: int | None = None) -> WaitingTimeReport:
     """Assemble the full exact report for one pattern, optionally with a wager."""
+    if stake is not None and stake < 0:
+        raise ValueError("stake must be nonnegative")
     corr = correlation_set(p)
     n_tosses = sum(1 << j for j in corr.overlap_lengths())
     lo, hi = waiting_time_bounds(len(p))
-    profit = None if stake is None else expected_profit(p, stake)
+    profit = None if stake is None else n_tosses - stake
     return WaitingTimeReport(
         pattern=p,
         correlation=corr,

@@ -53,6 +53,7 @@ def test_exact_commands_never_import_numpy():
         main(["table", "--lengths", "2..12"])
         main(["table", "--lengths", "2..4", "--all-patterns"])
         main(["dist", "110", "--horizon", "20"])
+        main(["verify", "--lengths", "2..8"])
         print("numpy" in sys.modules, file=sys.stderr)
         main(["simulate", "11", "--trials", "10"])
         print("numpy" in sys.modules, file=sys.stderr)
@@ -166,8 +167,8 @@ def test_ctrl_c_ends_a_command_with_one_line_and_exit_130():
 def test_verify_runs_a_far_horizon_under_an_address_space_cap():
     # Every sigma and tau of 11 out to n = 40000 take over 100 MB together,
     # which this cap cannot hold; checking the identities as the engine runs
-    # holds a few terms.  One BLAS thread keeps numpy's reserved address
-    # space the same on every host.
+    # holds a few terms.  verify loads no numpy; one BLAS thread would keep
+    # numpy's reserved address space the same on every host if it did.
     resource = pytest.importorskip("resource")
     cap = 200_000 * 1024
     env = dict(python_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")

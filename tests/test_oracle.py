@@ -27,6 +27,7 @@ from coinwait import oracle
 from _oracles import (
     brute_sigma_tau,
     enumerated_completions,
+    longest_prefix_suffix_state,
     per_toss_simulation,
     raw_word_reader,
 )
@@ -89,21 +90,14 @@ def test_tally_rejects_short_and_huge_n():
 
 @pytest.mark.parametrize("n", [31, 32, 33, 40])
 def test_tally_refuses_n_at_and_past_the_uint32_word(n):
-    # the window counts are uint32 and reach 2**(n - 1), so such n must be
-    # refused before any count is made
+    # n at and past 32 bits, far past the ceiling, is refused before any
+    # count is made
     with pytest.raises(TooLargeError):
         exhaustive_tally(parse_pattern("110"), n)
 
 
-def test_enumeration_ceiling_fits_a_uint32_word():
-    # the refusals above pass at any ceiling up to 30, so they cannot pin it;
-    # each count is at most 2**(n - 1), 2**23 at the ceiling
-    assert oracle.ENUMERATION_CEILING < 32
-
-
 def test_tally_memory_does_not_grow_with_n():
-    # numpy reports its buffers to tracemalloc; a 2**22-entry string array
-    # alone would be 16 MB
+    # a tally holds m counts; a 2**22-entry string array alone would be 16 MB
     tracemalloc.start()
     try:
         exhaustive_tally(parse_pattern("111111"), 22)
@@ -114,8 +108,8 @@ def test_tally_memory_does_not_grow_with_n():
 
 
 def test_tally_memory_at_the_clis_longest_pattern_and_largest_n():
-    # 16 * 2**(m - 1) B of window counts: 32 KiB for a length-12 pattern,
-    # the CLI's longest, at the largest n
+    # m counts and an m-row move table for a length-12 pattern, the CLI's
+    # longest, at the largest n
     tracemalloc.start()
     try:
         exhaustive_tally(parse_pattern("110100111010"), 24)
@@ -123,6 +117,36 @@ def test_tally_memory_at_the_clis_longest_pattern_and_largest_n():
     finally:
         tracemalloc.stop()
     assert peak < 2**18
+
+
+def test_tally_memory_at_the_ceiling_does_not_grow_with_m():
+    # the longest pattern the ceiling allows, at the ceiling: 24 counts
+    tracemalloc.start()
+    try:
+        exhaustive_tally(parse_pattern("1" * 24), 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+_MOVE_RNG = random.Random(20261021)
+_MOVE_PATTERNS = [
+    *(str(p) for m in range(1, 11) for p in patterns_of_length(m, canonical=False)),
+    *("".join(_MOVE_RNG.choice("01") for _ in range(_MOVE_RNG.randint(11, 24)))
+      for _ in range(20)),
+]
+
+
+def test_prefix_moves_match_the_definition():
+    # every move from state k on toss b lands on the longest prefix of the
+    # pattern that s[:k] + b ends with (m once the pattern is complete)
+    for s in _MOVE_PATTERNS:
+        moves = oracle._prefix_moves(tuple(map(int, s)))
+        assert len(moves) == len(s)
+        for k, row in enumerate(moves):
+            expected = [longest_prefix_suffix_state(s, s[:k] + b) for b in "01"]
+            assert row == expected, (s, k)
 
 
 _DEEP_RNG = random.Random(20261018)
@@ -134,7 +158,7 @@ _DEEP_PATTERNS = ["111111", "10101"] + [
 @pytest.mark.parametrize("text", _DEEP_PATTERNS)
 def test_tally_agrees_with_engine_across_chunks(text):
     # n = 20, past the brute-force sweeps, for lengths up to 20, where the
-    # window count has 2**19 states
+    # strings that avoid the pattern fill all 20 prefix states below m
     p = parse_pattern(text)
     counts = occurrence_counts(p, 20)
     tally = exhaustive_tally(p, 20)
